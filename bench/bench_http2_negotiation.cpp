@@ -4,7 +4,10 @@
 //   * the ablation from DESIGN.md §6.1: SETTINGS-based negotiation vs a
 //     hypothetical per-request header ("x-sww-gen-ability: 1"),
 //   * the four client/server support combinations and the serving mode
-//     each one lands in.
+//     each one lands in,
+//   * stream-record hygiene under a rapid-reset flood: 10,000 HEADERS +
+//     RST_STREAM pairs must leave no stream record behind, and every
+//     stream opened must be observed once into http2.stream_seconds.
 // Emits telemetry artifacts under bench_out/ (see docs/observability.md):
 //   bench_out/bench_http2_negotiation.trace.json   — chrome://tracing
 //   bench_out/bench_http2_negotiation.metrics.jsonl — registry snapshot
@@ -41,6 +44,40 @@ std::uint64_t HandshakeBytes(bool advertise) {
   server.StartHandshake();
   net::DirectLinkExchange(client, server);
   return client.wire_stats().bytes_sent + server.wire_stats().bytes_sent;
+}
+
+/// Ids with a stream record left on either end after a flood of `pairs`
+/// HEADERS (without END_STREAM) + RST_STREAM pairs from the client.
+std::uint64_t StreamsRetainedAfterRapidReset(std::uint32_t pairs) {
+  http2::Connection::Options options;
+  options.local_settings.set_enable_push(false);
+  http2::Connection client(http2::Connection::Role::kClient, options);
+  http2::Connection server(http2::Connection::Role::kServer, options);
+  client.StartHandshake();
+  server.StartHandshake();
+  net::DirectLinkExchange(client, server);
+  const hpack::HeaderList request = {{":method", "GET", false},
+                                     {":scheme", "https", false},
+                                     {":path", "/", false},
+                                     {":authority", "sww.local", false}};
+  constexpr std::uint32_t kBatch = 100;
+  std::uint32_t last_id = 0;
+  for (std::uint32_t sent = 0; sent < pairs; sent += kBatch) {
+    for (std::uint32_t i = 0; i < kBatch && sent + i < pairs; ++i) {
+      auto stream_id = client.SubmitRequest(request, {}, false);
+      if (!stream_id.ok()) return pairs;
+      last_id = stream_id.value();
+      (void)client.ResetStream(last_id, http2::ErrorCode::kCancel);
+    }
+    net::DirectLinkExchange(client, server);
+    (void)client.TakeEvents();
+    (void)server.TakeEvents();
+  }
+  std::uint64_t retained = 0;
+  for (std::uint32_t id = 1; id <= last_id; id += 2) {
+    retained += (client.FindStream(id) != nullptr) + (server.FindStream(id) != nullptr);
+  }
+  return retained;
 }
 
 void http2_negotiation(sww::obs::bench::State& state) {
@@ -145,6 +182,36 @@ void http2_negotiation(sww::obs::bench::State& state) {
   }
   std::printf("\nPaper: \"Except for the first scenario, in all other cases "
               "the communication\ndefaulted to standard HTTP/2.\"\n");
+
+  // --- rapid reset: stream records are reaped --------------------------------
+  // Tracing stays off for the flood so the trace artifact holds only the
+  // matrix above; the registry deltas still see every stream.
+  constexpr std::uint32_t kResetPairs = 10000;
+  obs::Registry& registry = obs::Registry::Default();
+  const obs::Counter& opened = registry.GetCounter("http2.streams_opened");
+  const obs::Histogram& stream_seconds =
+      registry.GetHistogram("http2.stream_seconds");
+  const std::uint64_t opened_before = opened.value();
+  const std::uint64_t observed_before = stream_seconds.Snapshot().count;
+  obs::Tracer::Default().SetEnabled(false);
+  const std::uint64_t retained = StreamsRetainedAfterRapidReset(kResetPairs);
+  obs::Tracer::Default().SetEnabled(true);
+  const std::uint64_t opened_delta = opened.value() - opened_before;
+  const std::uint64_t observed_delta =
+      stream_seconds.Snapshot().count - observed_before;
+  std::printf("\nRapid reset (%u HEADERS + RST_STREAM pairs): %llu stream "
+              "records retained; %llu streams opened, %llu observed in "
+              "http2.stream_seconds\n",
+              kResetPairs, static_cast<unsigned long long>(retained),
+              static_cast<unsigned long long>(opened_delta),
+              static_cast<unsigned long long>(observed_delta));
+  state.Modeled("rapid_reset.streams_retained", static_cast<double>(retained));
+  state.Modeled("rapid_reset.streams_opened", static_cast<double>(opened_delta));
+  state.Modeled("rapid_reset.stream_seconds_count",
+                static_cast<double>(observed_delta));
+  state.Check(retained == 0, "rapid reset leaves no stream records");
+  state.Check(observed_delta == opened_delta,
+              "every opened stream is observed once in http2.stream_seconds");
 
   // --- telemetry artifacts -----------------------------------------------------
   // Side-products land under bench_out/ (gitignored), never in the tree.

@@ -49,13 +49,11 @@ GenerativeClient::GenerativeClient(Options options, MediaGenerator generator)
   instruments_.fetch_latency = &registry.GetHistogram("fetch.latency");
 }
 
-void GenerativeClient::DrainEvents() {
+Status GenerativeClient::DrainEvents(std::uint32_t stream_id) {
+  Status status = Status::Ok();
   for (const http2::Connection::Event& event : connection_->TakeEvents()) {
     using Type = http2::Connection::Event::Type;
     switch (event.type) {
-      case Type::kMessageComplete:
-        completed_streams_.insert(event.stream_id);
-        break;
       case Type::kRemoteSettingsReceived:
         // §5.2: the client logs the server's advertised ability.
         instruments_.negotiations->Add();
@@ -65,21 +63,35 @@ void GenerativeClient::DrainEvents() {
                               connection_->remote_settings().gen_ability()));
         break;
       case Type::kStreamReset:
-        completed_streams_.insert(event.stream_id);  // surfaces as missing data
+        if (event.stream_id == stream_id) {
+          status = Error(ErrorCode::kClosed,
+                         "stream " + std::to_string(stream_id) +
+                             " reset by server: " +
+                             http2::ErrorCodeName(event.error));
+        }
         break;
       default:
         break;
     }
   }
+  return status;
 }
 
-Status GenerativeClient::PumpUntilComplete(std::uint32_t stream_id,
-                                           const PumpFn& pump) {
+Result<const http2::Stream*> GenerativeClient::PumpUntilComplete(
+    std::uint32_t stream_id, const PumpFn& pump) {
   constexpr int kMaxRounds = 1024;
   for (int round = 0; round < kMaxRounds; ++round) {
-    DrainEvents();
-    if (completed_streams_.count(stream_id) != 0) return Status::Ok();
-    if (Status status = pump(); !status.ok()) return status;
+    if (Status status = DrainEvents(stream_id); !status.ok()) {
+      return status.error();
+    }
+    // No record: our side reset the stream (a stream error it detected).
+    const http2::Stream* stream = connection_->FindStream(stream_id);
+    if (stream == nullptr) {
+      return Error(ErrorCode::kClosed,
+                   "stream " + std::to_string(stream_id) + " was reset");
+    }
+    if (stream->remote_end) return stream;
+    if (Status status = pump(); !status.ok()) return status.error();
   }
   return Error(ErrorCode::kIo, "pump did not complete stream " +
                                    std::to_string(stream_id));
@@ -117,15 +129,9 @@ Result<Response> GenerativeClient::FetchRaw(
   }
   auto stream_id = connection_->SubmitRequest(request.ToHeaders(), {});
   if (!stream_id) return stream_id.error();
-  if (Status status = PumpUntilComplete(stream_id.value(), pump); !status.ok()) {
-    return status.error();
-  }
-  const http2::Stream* stream = connection_->FindStream(stream_id.value());
-  if (stream == nullptr) {
-    return Error(ErrorCode::kInternal, "completed stream vanished");
-  }
-  auto response = ParseResponse(stream->headers, stream->body);
-  completed_streams_.erase(stream_id.value());
+  auto stream = PumpUntilComplete(stream_id.value(), pump);
+  if (!stream) return stream.error();
+  auto response = ParseResponse(stream.value()->headers, stream.value()->body);
   connection_->ReleaseStream(stream_id.value());
   if (!response) return response;
   span.AddAttribute("status", std::to_string(response.value().status));

@@ -18,7 +18,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -123,14 +122,18 @@ class GenerativeClient {
  private:
   explicit GenerativeClient(Options options, MediaGenerator generator);
 
-  util::Status PumpUntilComplete(std::uint32_t stream_id, const PumpFn& pump);
+  /// Pump until `stream_id` saw END_STREAM and return its record; a reset
+  /// stream fails with the RFC 9113 code the server sent.
+  util::Result<const http2::Stream*> PumpUntilComplete(std::uint32_t stream_id,
+                                                       const PumpFn& pump);
   /// FetchPage body; FetchPage itself wraps this to emit exactly one
   /// wide-event journal record and one fetch.latency observation per
   /// completed fetch, success or failure.
   util::Result<PageFetch> FetchPageInner(const std::string& path,
                                          const PumpFn& pump,
                                          obs::ScopedSpan& span);
-  void DrainEvents();
+  /// Handle pending connection events; fails if `stream_id` was reset.
+  util::Status DrainEvents(std::uint32_t stream_id);
   /// Parse the page body in `fetch`, run generation/asset-fetch/upscale,
   /// and fill in the final DOM and statistics.
   util::Status MaterializePage(PageFetch& fetch, const PumpFn& pump);
@@ -141,7 +144,6 @@ class GenerativeClient {
   Options options_;
   std::unique_ptr<MediaGenerator> generator_;
   std::unique_ptr<http2::Connection> connection_;
-  std::set<std::uint32_t> completed_streams_;
   PromptCache prompt_cache_{512 * 1024};
 
   // Process-wide client.* mirrors in obs::Registry.

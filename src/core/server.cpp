@@ -1,7 +1,5 @@
 #include "core/server.hpp"
 
-#include <cassert>
-
 #include "compress/swz.hpp"
 #include "html/parser.hpp"
 #include "obs/expose.hpp"
@@ -144,11 +142,6 @@ Status GenerativeServer::ProcessEvents() {
     if (Status status = SendResponse(event.stream_id, response); !status.ok()) {
       return status;
     }
-    // Entity bytes can never exceed what the connection actually framed
-    // and queued (frame headers only add); a violation means a second,
-    // stray accounting site crept back in.
-    assert(stats_.page_bytes_sent + stats_.asset_bytes_sent <=
-           connection_->wire_stats().bytes_sent);
     connection_->ReleaseStream(event.stream_id);
   }
   return Status::Ok();

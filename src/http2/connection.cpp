@@ -167,39 +167,47 @@ void Connection::ReleaseStream(std::uint32_t stream_id) {
   auto it = streams_.find(stream_id);
   if (it == streams_.end()) return;
   if (!it->second.send_queue.empty()) {
-    // Data is still waiting on flow-control window; keep the stream alive
-    // until FlushSendQueues drains it, then erase.
+    // Data is still waiting on flow-control window; FlushSendQueues reaps
+    // the stream once the queue drains.
     it->second.pending_release = true;
     return;
   }
-  streams_.erase(it);
-  stream_consumed_.erase(stream_id);
-  EndStreamSpan(stream_id);
+  Reap(it);
 }
 
-void Connection::EndStreamSpan(std::uint32_t stream_id) {
-  auto it = stream_spans_.find(stream_id);
-  if (it == stream_spans_.end()) return;
+Connection::StreamMap::iterator Connection::Reap(StreamMap::iterator it) {
+  Stream& stream = it->second;
+  SetState(stream, StreamState::kClosed);
   obs::Tracer& tracer = obs::Tracer::Default();
   // Exemplar: the stream's latency bucket remembers which distributed
   // trace put it there (context read before EndSpan, while the span is
   // certainly live).
-  const obs::SpanContext context = tracer.ContextOf(it->second.span);
-  tracer.EndSpan(it->second.span);
+  const obs::SpanContext context = tracer.ContextOf(stream.span);
+  tracer.EndSpan(stream.span);
   const std::uint64_t now = tracer.clock().NowNanos();
   instruments_.stream_seconds->Observe(
-      static_cast<double>(now - it->second.opened_nanos) * 1e-9,
-      context.trace_id, now);
-  stream_spans_.erase(it);
+      static_cast<double>(now - stream.opened_nanos) * 1e-9, context.trace_id,
+      now);
+  return streams_.erase(it);
 }
 
-std::size_t Connection::active_stream_count() const {
-  std::size_t count = 0;
-  for (const auto& [id, stream] : streams_) {
-    (void)id;
-    if (stream.state != StreamState::kClosed) ++count;
-  }
-  return count;
+void Connection::SendReset(std::uint32_t stream_id, ErrorCode error) {
+  EnqueueFrame(MakeRstStreamFrame(stream_id, error));
+  if (auto it = streams_.find(stream_id); it != streams_.end()) Reap(it);
+}
+
+void Connection::SetState(Stream& stream, StreamState next) {
+  const auto active = [](StreamState state) {
+    return state != StreamState::kIdle && state != StreamState::kClosed;
+  };
+  if (active(stream.state)) --active_streams_;
+  if (active(next)) ++active_streams_;
+  stream.state = next;
+}
+
+void Connection::EndStream(Stream& stream, bool local) {
+  (local ? stream.local_end : stream.remote_end) = true;
+  SetState(stream, StateAfterEndStream(stream.state, local));
 }
 
 bool Connection::IsPeerInitiated(std::uint32_t stream_id) const {
@@ -207,23 +215,25 @@ bool Connection::IsPeerInitiated(std::uint32_t stream_id) const {
   return role_ == Role::kServer ? odd : !odd;
 }
 
-Stream& Connection::EnsureStream(std::uint32_t stream_id) {
-  auto [it, inserted] = streams_.try_emplace(stream_id);
-  Stream& stream = it->second;
-  if (inserted) {
-    stream.id = stream_id;
-    stream.send_window = FlowWindow(remote_settings_.initial_window_size());
-    stream.recv_window = FlowWindow(local_settings_.initial_window_size());
-    instruments_.streams_opened->Add();
-    obs::Tracer& tracer = obs::Tracer::Default();
-    const obs::SpanId span = tracer.BeginAsyncSpan(
-        "http2.stream", "http2", tracer.CurrentSpan());
-    tracer.AddAttribute(span, "stream_id", std::to_string(stream_id));
-    tracer.AddAttribute(span, "role",
-                        role_ == Role::kClient ? "client" : "server");
-    stream.opened_nanos = tracer.clock().NowNanos();
-    stream_spans_[stream_id] = StreamSpan{span, stream.opened_nanos};
-  }
+bool Connection::IsIdle(std::uint32_t stream_id) const {
+  return IsPeerInitiated(stream_id) ? stream_id > last_peer_stream_id_
+                                    : stream_id >= next_stream_id_;
+}
+
+Stream& Connection::OpenStream(std::uint32_t stream_id) {
+  Stream& stream = streams_[stream_id];
+  stream.id = stream_id;
+  stream.send_window = FlowWindow(remote_settings_.initial_window_size());
+  stream.recv_window = FlowWindow(local_settings_.initial_window_size());
+  instruments_.streams_opened->Add();
+  obs::Tracer& tracer = obs::Tracer::Default();
+  stream.span =
+      tracer.BeginAsyncSpan("http2.stream", "http2", tracer.CurrentSpan());
+  tracer.AddAttribute(stream.span, "stream_id", std::to_string(stream_id));
+  tracer.AddAttribute(stream.span, "role",
+                      role_ == Role::kClient ? "client" : "server");
+  stream.opened_nanos = tracer.clock().NowNanos();
+  SetState(stream, StreamState::kOpen);
   return stream;
 }
 
@@ -384,26 +394,23 @@ Status Connection::HandleHeaders(const Frame& frame) {
   if (stream_id == 0) {
     return ConnectionError(ErrorCode::kProtocolError, "HEADERS on stream 0");
   }
-  if (!IsPeerInitiated(stream_id) && FindStream(stream_id) == nullptr) {
-    return ConnectionError(ErrorCode::kProtocolError,
-                           "HEADERS on unknown locally-initiated stream");
-  }
-  if (IsPeerInitiated(stream_id)) {
-    if (FindStream(stream_id) == nullptr) {
-      if (stream_id <= last_peer_stream_id_) {
-        return ConnectionError(ErrorCode::kProtocolError,
-                               "peer reused or decreased stream id");
-      }
-      if (going_away_) {
-        // After GOAWAY we refuse new streams gracefully.
-        EnqueueFrame(MakeRstStreamFrame(stream_id, ErrorCode::kRefusedStream));
-        return Status::Ok();
-      }
-      const std::uint32_t max_streams = local_settings_.max_concurrent_streams();
-      if (active_stream_count() >= max_streams) {
-        EnqueueFrame(MakeRstStreamFrame(stream_id, ErrorCode::kRefusedStream));
-        return Status::Ok();
-      }
+  // No record: a new stream above the watermarks, else reaped (closed).
+  Stream* stream = FindMutableStream(stream_id);
+  const bool opens = stream == nullptr && IsIdle(stream_id);
+  // A refused stream gets no record, but its header block is still
+  // assembled and decoded below to keep the HPACK state in sync.
+  bool refused = false;
+  if (opens) {
+    if (!IsPeerInitiated(stream_id)) {
+      return ConnectionError(ErrorCode::kProtocolError,
+                             "HEADERS on unknown locally-initiated stream");
+    }
+    // After GOAWAY we refuse new streams gracefully.
+    refused = going_away_ ||
+              active_stream_count() >= local_settings_.max_concurrent_streams();
+    if (refused) {
+      SendReset(stream_id, ErrorCode::kRefusedStream);
+    } else {
       last_peer_stream_id_ = stream_id;
     }
   }
@@ -413,15 +420,10 @@ Status Connection::HandleHeaders(const Frame& frame) {
   if (!block) {
     return ConnectionError(ErrorCode::kProtocolError, block.error().message);
   }
-
-  Stream& stream = EnsureStream(stream_id);
-  if (stream.state == StreamState::kIdle) stream.state = StreamState::kOpen;
-  if (stream.state == StreamState::kClosed ||
-      stream.state == StreamState::kHalfClosedLocal) {
-    // Peer may still send on half-closed(local); closed is an error.
-    if (stream.state == StreamState::kClosed) {
-      return ConnectionError(ErrorCode::kStreamClosed, "HEADERS on closed stream");
-    }
+  if (opens) {
+    if (!refused) OpenStream(stream_id);
+  } else if (stream == nullptr || stream->state == StreamState::kClosed) {
+    return ConnectionError(ErrorCode::kStreamClosed, "HEADERS on closed stream");
   }
 
   header_block_ = std::move(block).value();
@@ -468,7 +470,11 @@ Status Connection::FinishHeaderBlock() {
     return ConnectionError(ErrorCode::kProtocolError, "header list too large");
   }
 
-  Stream& stream = EnsureStream(assembling_stream_id_);
+  // No record: the stream was refused, or reset while its block was in
+  // flight.  The block was decoded only to keep the HPACK state in sync.
+  Stream* record = FindMutableStream(assembling_stream_id_);
+  if (record == nullptr) return Status::Ok();
+  Stream& stream = *record;
   if (!stream.saw_headers) {
     stream.headers = std::move(headers).value();
     stream.saw_headers = true;
@@ -482,7 +488,7 @@ Status Connection::FinishHeaderBlock() {
   events_.push_back(Event{Event::Type::kHeadersReceived, assembling_stream_id_,
                           ErrorCode::kNoError, 0});
   if (assembling_end_stream_) {
-    stream.OnRemoteEnd();
+    EndStream(stream, /*local=*/false);
     events_.push_back(Event{Event::Type::kMessageComplete, assembling_stream_id_,
                             ErrorCode::kNoError, 0});
   }
@@ -494,26 +500,28 @@ Status Connection::HandleData(const Frame& frame) {
   if (stream_id == 0) {
     return ConnectionError(ErrorCode::kProtocolError, "DATA on stream 0");
   }
+  // No record: idle above the watermarks, otherwise reaped (closed).
   Stream* stream = FindMutableStream(stream_id);
-  if (stream == nullptr || stream->state == StreamState::kIdle) {
+  if (stream == nullptr && IsIdle(stream_id)) {
     return ConnectionError(ErrorCode::kProtocolError, "DATA on idle stream");
   }
   // The whole frame payload counts against flow control, padding included.
   const std::int64_t frame_cost = static_cast<std::int64_t>(frame.payload.size());
   connection_recv_window_.Consume(frame_cost);
-  stream->recv_window.Consume(frame_cost);
+  if (stream != nullptr) stream->recv_window.Consume(frame_cost);
   if (connection_recv_window_.available() < 0) {
     return ConnectionError(ErrorCode::kFlowControlError,
                            "connection receive window exceeded");
   }
-  if (stream->recv_window.available() < 0) {
+  if (stream != nullptr && stream->recv_window.available() < 0) {
     return ConnectionError(ErrorCode::kFlowControlError,
                            "stream receive window exceeded");
   }
-  if (!stream->CanReceiveData()) {
+  if (stream == nullptr || !stream->CanReceiveData()) {
     // Stream half-closed(remote) or closed: STREAM_CLOSED stream error.
-    EnqueueFrame(MakeRstStreamFrame(stream_id, ErrorCode::kStreamClosed));
-    MaybeReplenishWindows(stream_id, frame.payload.size());
+    // The bytes still count against, and replenish, the connection window.
+    SendReset(stream_id, ErrorCode::kStreamClosed);
+    MaybeReplenishWindows(nullptr, frame.payload.size());
     return Status::Ok();
   }
   auto body = ExtractDataPayload(frame);
@@ -522,18 +530,17 @@ Status Connection::HandleData(const Frame& frame) {
   }
   stream->body.insert(stream->body.end(), body.value().begin(), body.value().end());
   if (frame.header.HasFlag(kFlagEndStream)) {
-    stream->OnRemoteEnd();
+    EndStream(*stream, /*local=*/false);
     events_.push_back(
         Event{Event::Type::kMessageComplete, stream_id, ErrorCode::kNoError, 0});
   }
-  MaybeReplenishWindows(stream_id, frame.payload.size());
+  MaybeReplenishWindows(stream, frame.payload.size());
   return Status::Ok();
 }
 
-void Connection::MaybeReplenishWindows(std::uint32_t stream_id,
-                                       std::size_t consumed) {
+void Connection::MaybeReplenishWindows(Stream* stream, std::size_t consumed) {
   connection_consumed_ += consumed;
-  stream_consumed_[stream_id] += consumed;
+  if (stream != nullptr) stream->unacked_recv_bytes += consumed;
   // The replenish point must stay below half the effective window, or a
   // peer that shrank INITIAL_WINDOW_SIZE below the threshold deadlocks
   // waiting for an update that never comes.
@@ -557,14 +564,13 @@ void Connection::MaybeReplenishWindows(std::uint32_t stream_id,
         static_cast<std::int64_t>(connection_consumed_));
     connection_consumed_ = 0;
   }
-  Stream* stream = FindMutableStream(stream_id);
   if (stream != nullptr && !stream->remote_end &&
-      stream_consumed_[stream_id] >= stream_threshold) {
-    enqueue_window_update(stream_id,
-                          static_cast<std::uint32_t>(stream_consumed_[stream_id]));
+      stream->unacked_recv_bytes >= stream_threshold) {
+    enqueue_window_update(stream->id,
+                          static_cast<std::uint32_t>(stream->unacked_recv_bytes));
     (void)stream->recv_window.Widen(
-        static_cast<std::int64_t>(stream_consumed_[stream_id]));
-    stream_consumed_[stream_id] = 0;
+        static_cast<std::int64_t>(stream->unacked_recv_bytes));
+    stream->unacked_recv_bytes = 0;
   }
 }
 
@@ -602,8 +608,7 @@ Status Connection::HandleWindowUpdate(const Frame& frame) {
     if (increment.error().code == util::ErrorCode::kProtocol &&
         frame.header.stream_id != 0) {
       // Zero increment on a stream is a stream error.
-      EnqueueFrame(MakeRstStreamFrame(frame.header.stream_id,
-                                      ErrorCode::kProtocolError));
+      SendReset(frame.header.stream_id, ErrorCode::kProtocolError);
       return Status::Ok();
     }
     return ConnectionError(ErrorCode::kProtocolError, increment.error().message);
@@ -613,16 +618,11 @@ Status Connection::HandleWindowUpdate(const Frame& frame) {
         !status.ok()) {
       return ConnectionError(ErrorCode::kFlowControlError, status.error().message);
     }
-  } else {
-    Stream* stream = FindMutableStream(frame.header.stream_id);
-    if (stream != nullptr) {
-      if (Status status = stream->send_window.Widen(increment.value());
-          !status.ok()) {
-        EnqueueFrame(MakeRstStreamFrame(frame.header.stream_id,
-                                        ErrorCode::kFlowControlError));
-        return Status::Ok();
-      }
-    }
+  } else if (Stream* stream = FindMutableStream(frame.header.stream_id);
+             stream != nullptr &&
+             !stream->send_window.Widen(increment.value()).ok()) {
+    SendReset(frame.header.stream_id, ErrorCode::kFlowControlError);
+    return Status::Ok();
   }
   FlushSendQueues();
   return Status::Ok();
@@ -636,20 +636,18 @@ Status Connection::HandleRstStream(const Frame& frame) {
   if (!code) {
     return ConnectionError(ErrorCode::kFrameSizeError, code.error().message);
   }
-  Stream* stream = FindMutableStream(frame.header.stream_id);
-  if (stream == nullptr) {
-    // RST for an idle stream we never saw is a protocol error; for a
-    // released stream it is benign.
-    if (IsPeerInitiated(frame.header.stream_id) &&
-        frame.header.stream_id > last_peer_stream_id_) {
+  auto it = streams_.find(frame.header.stream_id);
+  if (it == streams_.end()) {
+    // RST for an idle stream is a protocol error; for a reaped (closed)
+    // stream it is benign.
+    if (IsIdle(frame.header.stream_id)) {
       return ConnectionError(ErrorCode::kProtocolError, "RST_STREAM on idle stream");
     }
     return Status::Ok();
   }
-  stream->state = StreamState::kClosed;
-  stream->send_queue.clear();
   events_.push_back(Event{Event::Type::kStreamReset, frame.header.stream_id,
                           code.value(), 0});
+  Reap(it);
   return Status::Ok();
 }
 
@@ -660,13 +658,11 @@ Status Connection::HandlePriority(const Frame& frame) {
   auto priority = ParsePriorityPayload(frame);
   if (!priority) {
     // PRIORITY with a bad length is a stream error (RFC 9113 §6.3).
-    EnqueueFrame(MakeRstStreamFrame(frame.header.stream_id,
-                                    ErrorCode::kFrameSizeError));
+    SendReset(frame.header.stream_id, ErrorCode::kFrameSizeError);
     return Status::Ok();
   }
   if (priority.value().dependency == frame.header.stream_id) {
-    EnqueueFrame(MakeRstStreamFrame(frame.header.stream_id,
-                                    ErrorCode::kProtocolError));
+    SendReset(frame.header.stream_id, ErrorCode::kProtocolError);
   }
   // Scheduling hints are accepted but we serve streams in submission order.
   return Status::Ok();
@@ -684,13 +680,12 @@ Result<std::uint32_t> Connection::SubmitRequest(const hpack::HeaderList& headers
   }
   const std::uint32_t stream_id = next_stream_id_;
   next_stream_id_ += 2;
-  Stream& stream = EnsureStream(stream_id);
-  stream.state = StreamState::kOpen;
+  Stream& stream = OpenStream(stream_id);
 
   const bool end_stream = body.empty() && end_stream_after_body;
   EmitHeaderBlock(stream_id, headers, end_stream);
   if (end_stream) {
-    stream.OnLocalEnd();
+    EndStream(stream, /*local=*/true);
     return stream_id;
   }
   if (!body.empty()) {
@@ -713,7 +708,7 @@ Status Connection::SubmitHeaders(std::uint32_t stream_id,
     return Error(util::ErrorCode::kClosed, "stream is closed");
   }
   EmitHeaderBlock(stream_id, headers, end_stream);
-  if (end_stream) stream->OnLocalEnd();
+  if (end_stream) EndStream(*stream, /*local=*/true);
   return Status::Ok();
 }
 
@@ -769,9 +764,7 @@ void Connection::FlushSendQueues() {
   for (auto it = streams_.begin(); it != streams_.end();) {
     FlushStreamSendQueue(it->second);
     if (it->second.pending_release && it->second.send_queue.empty()) {
-      stream_consumed_.erase(it->first);
-      EndStreamSpan(it->first);
-      it = streams_.erase(it);
+      it = Reap(it);
     } else {
       ++it;
     }
@@ -786,7 +779,7 @@ void Connection::FlushStreamSendQueue(Stream& stream) {
       // Bare END_STREAM marker.
       if (pending.end_stream) {
         EnqueueFrameRef(FrameType::kData, kFlagEndStream, stream.id, {});
-        stream.OnLocalEnd();
+        EndStream(stream, /*local=*/true);
       }
       stream.send_queue.pop_front();
       continue;
@@ -808,7 +801,7 @@ void Connection::FlushStreamSendQueue(Stream& stream) {
     connection_send_window_.Consume(static_cast<std::int64_t>(chunk_size));
     stream.send_window.Consume(static_cast<std::int64_t>(chunk_size));
     if (is_last_chunk) {
-      if (end_stream) stream.OnLocalEnd();
+      if (end_stream) EndStream(stream, /*local=*/true);
       stream.send_queue.pop_front();
     } else {
       pending.data.erase(pending.data.begin(),
@@ -818,13 +811,10 @@ void Connection::FlushStreamSendQueue(Stream& stream) {
 }
 
 Status Connection::ResetStream(std::uint32_t stream_id, ErrorCode error) {
-  Stream* stream = FindMutableStream(stream_id);
-  if (stream == nullptr) {
+  if (FindStream(stream_id) == nullptr) {
     return Error(util::ErrorCode::kNotFound, "unknown stream");
   }
-  EnqueueFrame(MakeRstStreamFrame(stream_id, error));
-  stream->state = StreamState::kClosed;
-  stream->send_queue.clear();
+  SendReset(stream_id, error);
   return Status::Ok();
 }
 

@@ -137,11 +137,13 @@ class Connection {
     return (negotiated_gen_ability() & kGenAbilityFull) != 0;
   }
 
+  /// nullptr once reaped (released and drained, or reset) or never opened.
   const Stream* FindStream(std::uint32_t stream_id) const;
   Stream* FindMutableStream(std::uint32_t stream_id);
-  /// Drop a closed stream's bookkeeping once the application consumed it.
+  /// The application is done: reap the stream once its send queue drains.
   void ReleaseStream(std::uint32_t stream_id);
-  std::size_t active_stream_count() const;
+  /// Streams open or half-closed (O(1): kept by the one state setter).
+  std::size_t active_stream_count() const { return active_streams_; }
 
   /// Totals for the evaluation harness (bytes on the wire in each
   /// direction, frame counts by type).  Per-connection truth; the same
@@ -196,12 +198,23 @@ class Connection {
   /// record.
   void TapHeaders(obs::TapDirection direction, std::uint32_t stream_id,
                   const hpack::HeaderList& headers);
-  void MaybeReplenishWindows(std::uint32_t stream_id, std::size_t consumed);
+  /// `stream` is nullptr for a reaped id: only the connection window counts.
+  void MaybeReplenishWindows(Stream* stream, std::size_t consumed);
   void FlushSendQueues();
   void FlushStreamSendQueue(Stream& stream);
-  Stream& EnsureStream(std::uint32_t stream_id);
+  using StreamMap = std::map<std::uint32_t, Stream>;
+  Stream& OpenStream(std::uint32_t stream_id);
+  /// The one writer of Stream::state; keeps active_streams_ exact.
+  void SetState(Stream& stream, StreamState next);
+  void EndStream(Stream& stream, bool local);  // END_STREAM sent or received
+  /// The one site that erases a record: closes the stream, ends its span,
+  /// observes http2.stream_seconds.  Returns the next record.
+  StreamMap::iterator Reap(StreamMap::iterator it);
+  /// Queue RST_STREAM and reap the stream's record if it still has one.
+  void SendReset(std::uint32_t stream_id, ErrorCode error);
   bool IsPeerInitiated(std::uint32_t stream_id) const;
-  void EndStreamSpan(std::uint32_t stream_id);
+  /// Not yet opened (RFC 9113 §5.1.1); a reaped id is closed, not idle.
+  bool IsIdle(std::uint32_t stream_id) const;
 
   Role role_;
   Options options_;
@@ -215,7 +228,8 @@ class Connection {
   util::BytesArena output_;     // serialized frames awaiting the transport
   util::Bytes encode_buffer_;   // reused for every outgoing header block
   std::vector<Event> events_;
-  std::map<std::uint32_t, Stream> streams_;
+  StreamMap streams_;  // the only per-stream state; flushed in id order
+  std::size_t active_streams_ = 0;
 
   // Header-block assembly state (HEADERS + CONTINUATION*).
   bool assembling_headers_ = false;
@@ -237,7 +251,6 @@ class Connection {
   FlowWindow connection_send_window_{65535};
   FlowWindow connection_recv_window_{65535};
   std::size_t connection_consumed_ = 0;
-  std::map<std::uint32_t, std::size_t> stream_consumed_;
 
   WireStats stats_;
 
@@ -254,17 +267,11 @@ class Connection {
     /// Unknown extension types count only in the aggregate counters.
     std::array<obs::Counter*, kFrameTypeCount> frames_sent_by_type;
     std::array<obs::Counter*, kFrameTypeCount> frames_received_by_type;
-    /// Per-stream open→release latency in tracer-clock seconds.
+    /// Per-stream open → release-or-reset latency in tracer-clock seconds.
     obs::Histogram* stream_seconds;
   };
   Instruments instruments_;
   obs::SpanId settings_span_ = 0;               ///< SETTINGS round-trip
-  /// Stream-lifetime span plus its open timestamp (for stream_seconds).
-  struct StreamSpan {
-    obs::SpanId span = 0;
-    std::uint64_t opened_nanos = 0;
-  };
-  std::map<std::uint32_t, StreamSpan> stream_spans_;
   obs::ConnectionTap* tap_ = nullptr;           ///< flight-recorder wire tap
 };
 

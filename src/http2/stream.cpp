@@ -22,22 +22,13 @@ util::Status FlowWindow::Widen(std::int64_t increment) {
   return util::Status::Ok();
 }
 
-void Stream::OnLocalEnd() {
-  local_end = true;
+StreamState StateAfterEndStream(StreamState state, bool local) {
   if (state == StreamState::kOpen) {
-    state = StreamState::kHalfClosedLocal;
-  } else if (state == StreamState::kHalfClosedRemote) {
-    state = StreamState::kClosed;
+    return local ? StreamState::kHalfClosedLocal : StreamState::kHalfClosedRemote;
   }
-}
-
-void Stream::OnRemoteEnd() {
-  remote_end = true;
-  if (state == StreamState::kOpen) {
-    state = StreamState::kHalfClosedRemote;
-  } else if (state == StreamState::kHalfClosedLocal) {
-    state = StreamState::kClosed;
-  }
+  const StreamState other_side_closed =
+      local ? StreamState::kHalfClosedRemote : StreamState::kHalfClosedLocal;
+  return state == other_side_closed ? StreamState::kClosed : state;
 }
 
 }  // namespace sww::http2

@@ -1,13 +1,17 @@
 // stream.hpp — HTTP/2 stream state (RFC 9113 §5).
 //
-// Tracks the per-stream lifecycle state machine and both flow-control
-// windows.  The Connection owns a map of these.
+// A Stream is all the Connection keeps about one stream.  The Connection
+// owns a map of them and erases a record at one site (Connection::Reap):
+// when the app released a drained stream, or on RST_STREAM sent or
+// received.  The stream-id watermarks tell a reaped (closed) id from idle.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 
 #include "hpack/hpack.hpp"
+#include "obs/trace.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 
@@ -22,6 +26,10 @@ enum class StreamState : std::uint8_t {
 };
 
 const char* StreamStateName(StreamState state);
+
+/// The state after one side sends END_STREAM (`local` = we sent it):
+/// open → half-closed on that side, half-closed on the other side → closed.
+StreamState StateAfterEndStream(StreamState state, bool local);
 
 /// A signed flow-control window.  Windows can go negative when the peer
 /// shrinks INITIAL_WINDOW_SIZE after data was sent (RFC 9113 §6.9.2).
@@ -50,12 +58,15 @@ class FlowWindow {
 struct Stream {
   std::uint32_t id = 0;
   StreamState state = StreamState::kIdle;
-  /// Tracer-clock timestamp of stream creation; the connection observes
-  /// the open→release span into the http2.stream_seconds histogram.
+  /// Lifetime span and tracer-clock start; Reap observes open → release
+  /// or reset into http2.stream_seconds.
+  obs::SpanId span = 0;
   std::uint64_t opened_nanos = 0;
 
   FlowWindow send_window{65535};
   FlowWindow recv_window{65535};
+  /// Received DATA bytes not yet returned to the peer by WINDOW_UPDATE.
+  std::size_t unacked_recv_bytes = 0;
 
   hpack::HeaderList headers;        // request or response headers
   hpack::HeaderList trailers;
@@ -64,7 +75,7 @@ struct Stream {
   bool remote_end = false;          // peer sent END_STREAM
   bool local_end = false;           // we sent END_STREAM
   /// Application released the stream while data was still queued behind
-  /// flow control; it is erased automatically once the queue drains.
+  /// flow control; it is reaped automatically once the queue drains.
   bool pending_release = false;
 
   /// Data waiting for send-window capacity.
@@ -80,11 +91,6 @@ struct Stream {
   bool CanReceiveData() const {
     return state == StreamState::kOpen || state == StreamState::kHalfClosedLocal;
   }
-
-  /// Transition on sending END_STREAM.
-  void OnLocalEnd();
-  /// Transition on receiving END_STREAM.
-  void OnRemoteEnd();
 };
 
 }  // namespace sww::http2

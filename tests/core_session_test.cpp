@@ -192,6 +192,83 @@ TEST(Session, WireStatsShowSettingsExchange) {
   EXPECT_GE(frames.at(http2::FrameType::kSettings), 2u);  // SETTINGS + ACK
 }
 
+TEST(Session, ServerByteTotalsEqualEntityBytesClientReceived) {
+  // Bodies far above the 64 kB connection window leave the server's
+  // entity totals ahead of the bytes framed when SendResponse returns; the
+  // property that holds is the exact total once every fetch completed.
+  ContentStore store;
+  std::string html = "<html><body><p>";
+  while (html.size() < 200000) html += "every word of this page is sent ";
+  html += "</p></body></html>";
+  ASSERT_TRUE(store.AddPage("/big", html).ok());
+  util::Bytes asset(300000);
+  for (std::size_t i = 0; i < asset.size(); ++i) {
+    asset[i] = static_cast<std::uint8_t>(i * 131 + (i >> 9));
+  }
+  store.AddAsset("/big.ppm", asset, "image/x-portable-pixmap");
+  for (const bool compress : {false, true}) {
+    LocalSession::Options options;
+    options.client.accept_compression = compress;
+    auto session = LocalSession::Start(&store, options);
+    ASSERT_TRUE(session.ok());
+    std::uint64_t received = 0;
+    for (const char* path : {"/big", "/big.ppm", "/big"}) {
+      auto response = session.value()->client().FetchRaw(path, session.value()->Pump());
+      ASSERT_TRUE(response.ok()) << path;
+      ASSERT_EQ(response.value().status, 200) << path;
+      received += response.value().wire_body_bytes;
+    }
+    EXPECT_GT(received, 2u * 65535u);
+    const GenerativeServer::Stats& stats = session.value()->server().stats();
+    EXPECT_EQ(stats.page_bytes_sent + stats.asset_bytes_sent, received)
+        << "compress=" << compress;
+  }
+}
+
+TEST(Session, StreamResetFailsFetchWithTheRfcCode) {
+  ContentStore store = GoldfishStore();
+  auto session = LocalSession::Start(&store, {});
+  ASSERT_TRUE(session.ok());
+  http2::Connection& client = session.value()->client().connection();
+  http2::Connection& server = session.value()->server().connection();
+  // A server that refuses every request it receives.
+  auto refusing_pump = [&]() -> util::Status {
+    if (client.HasOutput()) {
+      if (util::Status status = server.Receive(client.OutputView()); !status.ok()) {
+        return status;
+      }
+      client.ClearOutput();
+    }
+    for (const auto& event : server.TakeEvents()) {
+      if (event.type == http2::Connection::Event::Type::kMessageComplete) {
+        if (util::Status status =
+                server.ResetStream(event.stream_id, http2::ErrorCode::kRefusedStream);
+            !status.ok()) {
+          return status;
+        }
+      }
+    }
+    if (server.HasOutput()) {
+      if (util::Status status = client.Receive(server.OutputView()); !status.ok()) {
+        return status;
+      }
+      server.ClearOutput();
+    }
+    return util::Status::Ok();
+  };
+  auto refused = session.value()->client().FetchRaw("/", refusing_pump);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code, util::ErrorCode::kClosed);
+  EXPECT_NE(refused.error().message.find("REFUSED_STREAM"), std::string::npos)
+      << refused.error().message;
+  EXPECT_EQ(client.FindStream(1), nullptr);
+  EXPECT_EQ(client.active_stream_count(), 0u);
+  // The connection survives a stream reset: the next fetch succeeds.
+  auto next = session.value()->client().FetchRaw("/", session.value()->Pump());
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next.value().status, 200);
+}
+
 TEST(Session, FullFlowOverLoopbackTcp) {
   // The same endpoints over real sockets: client thread + server thread.
   ContentStore store = GoldfishStore();

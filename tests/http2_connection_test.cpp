@@ -2,6 +2,10 @@
 // negotiation behaviour the paper's §3/§6.2 describe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "http2/connection.hpp"
 #include "net/pump.hpp"
 #include "util/bytes.hpp"
@@ -260,7 +264,11 @@ TEST(Connection, RstStreamClosesAndReports) {
     }
   }
   EXPECT_TRUE(reset_seen);
-  EXPECT_EQ(pair.client.FindStream(1)->state, StreamState::kClosed);
+  // RST_STREAM sent or received reaps the record on both ends.
+  EXPECT_EQ(pair.client.FindStream(1), nullptr);
+  EXPECT_EQ(pair.server.FindStream(1), nullptr);
+  EXPECT_EQ(pair.client.active_stream_count(), 0u);
+  EXPECT_EQ(pair.server.active_stream_count(), 0u);
 }
 
 TEST(Connection, BadClientPrefaceIsProtocolError) {
@@ -413,6 +421,303 @@ TEST(Connection, SteadyStateRequestsStopAllocatingOutput) {
   for (int i = 0; i < 32; ++i) warm();
   EXPECT_EQ(pair.client.output_allocations(), client_allocs);
   EXPECT_EQ(pair.server.output_allocations(), server_allocs);
+}
+
+// --- stream records: reaping and the O(1) active count ------------------------
+
+/// Test oracle for the O(1) active_stream_count(): scan every id up to
+/// `max_id` for a record that is not closed.
+std::size_t ScanActiveStreams(const Connection& connection, std::uint32_t max_id) {
+  std::size_t count = 0;
+  for (std::uint32_t id = 1; id <= max_id; ++id) {
+    const Stream* stream = connection.FindStream(id);
+    if (stream != nullptr && stream->state != StreamState::kClosed) ++count;
+  }
+  return count;
+}
+
+/// Every frame in `wire` (a connection's output after the preface).
+std::vector<Frame> ParseFrames(util::BytesView wire) {
+  FrameParser parser;
+  parser.Feed(wire);
+  std::vector<Frame> frames;
+  while (true) {
+    auto next = parser.Next();
+    EXPECT_TRUE(next.ok());
+    if (!next.ok() || !next.value().has_value()) break;
+    frames.push_back(std::move(*next.value()));
+  }
+  return frames;
+}
+
+/// Move the client's pending output into the server; return what the
+/// server queued in answer (and drain it).
+Bytes DeliverToServer(Pair& pair, util::Status& status) {
+  status = pair.server.Receive(pair.client.TakeOutput());
+  return pair.server.TakeOutput();
+}
+
+const hpack::HeaderList kGet = {{":method", "GET", false},
+                                {":scheme", "https", false},
+                                {":path", "/", false}};
+
+TEST(ConnectionStreams, RapidResetLeavesNoRecords) {
+  Pair pair;
+  pair.Handshake();
+  constexpr std::uint32_t kPairs = 10000;
+  constexpr std::uint32_t kBatch = 100;
+  std::size_t server_resets = 0;
+  for (std::uint32_t sent = 0; sent < kPairs; sent += kBatch) {
+    for (std::uint32_t i = 0; i < kBatch; ++i) {
+      // HEADERS without END_STREAM, then RST_STREAM right behind it.
+      auto stream_id = pair.client.SubmitRequest(kGet, {}, false);
+      ASSERT_TRUE(stream_id.ok());
+      ASSERT_TRUE(pair.client.ResetStream(stream_id.value(), ErrorCode::kCancel).ok());
+    }
+    net::DirectLinkExchange(pair.client, pair.server);
+    for (const auto& event : pair.server.TakeEvents()) {
+      if (event.type == Connection::Event::Type::kStreamReset) ++server_resets;
+    }
+    (void)pair.client.TakeEvents();
+  }
+  EXPECT_FALSE(pair.client.dead());
+  EXPECT_FALSE(pair.server.dead());
+  EXPECT_EQ(server_resets, kPairs);
+  const std::uint32_t max_id = 2 * kPairs - 1;
+  for (std::uint32_t id = 1; id <= max_id; id += 2) {
+    ASSERT_EQ(pair.client.FindStream(id), nullptr) << "client id " << id;
+    ASSERT_EQ(pair.server.FindStream(id), nullptr) << "server id " << id;
+  }
+  EXPECT_EQ(pair.client.active_stream_count(), 0u);
+  EXPECT_EQ(pair.server.active_stream_count(), 0u);
+}
+
+TEST(ConnectionStreams, ActiveCountMatchesScanOracleUnderRandomSteps) {
+  Pair pair;
+  pair.Handshake();
+  std::mt19937 rng(20251);
+  std::vector<std::uint32_t> opened;
+  std::uint32_t max_id = 0;
+  std::size_t peak_active = 0;
+  const auto pick = [&]() -> std::uint32_t {
+    if (opened.empty()) return 0;
+    return opened[std::uniform_int_distribution<std::size_t>(
+        0, opened.size() - 1)(rng)];
+  };
+  for (int step = 0; step < 2000; ++step) {
+    const int op = std::uniform_int_distribution<int>(0, 6)(rng);
+    const std::uint32_t id = pick();
+    const Stream* client_stream = id == 0 ? nullptr : pair.client.FindStream(id);
+    const Stream* server_stream = id == 0 ? nullptr : pair.server.FindStream(id);
+    switch (op) {
+      case 0: {  // open, with or without a request body
+        const bool with_body = (rng() % 2) == 0;
+        const Bytes body(with_body ? 1000 : 0, 0x5a);
+        auto stream_id = pair.client.SubmitRequest(kGet, body, (rng() % 4) != 0);
+        ASSERT_TRUE(stream_id.ok());
+        opened.push_back(stream_id.value());
+        max_id = stream_id.value();
+        break;
+      }
+      case 1:  // client ends its half
+        if (client_stream != nullptr && client_stream->CanSendData()) {
+          ASSERT_TRUE(pair.client.SubmitData(id, {}, true).ok());
+        }
+        break;
+      case 2:  // server answers; a large body waits behind flow control
+        if (server_stream != nullptr && server_stream->CanSendData()) {
+          ASSERT_TRUE(pair.server.SubmitHeaders(id, {{":status", "200", false}}, false).ok());
+          const Bytes body((rng() % 3) == 0 ? 150000 : 200, 0x11);
+          ASSERT_TRUE(pair.server.SubmitData(id, body, true).ok());
+        }
+        break;
+      case 3:  // client resets
+        if (client_stream != nullptr) {
+          ASSERT_TRUE(pair.client.ResetStream(id, ErrorCode::kCancel).ok());
+        }
+        break;
+      case 4:  // server resets
+        if (server_stream != nullptr) {
+          ASSERT_TRUE(pair.server.ResetStream(id, ErrorCode::kRefusedStream).ok());
+        }
+        break;
+      case 5:  // client releases a complete response
+        if (client_stream != nullptr && client_stream->remote_end) {
+          pair.client.ReleaseStream(id);
+        }
+        break;
+      case 6:  // server releases once it has ended its half
+        if (server_stream != nullptr && server_stream->local_end) {
+          pair.server.ReleaseStream(id);
+        }
+        break;
+    }
+    ASSERT_EQ(pair.client.active_stream_count(), ScanActiveStreams(pair.client, max_id))
+        << "step " << step;
+    ASSERT_EQ(pair.server.active_stream_count(), ScanActiveStreams(pair.server, max_id))
+        << "step " << step;
+    peak_active = std::max(peak_active, pair.server.active_stream_count());
+    if (step % 3 == 0) {
+      net::DirectLinkExchange(pair.client, pair.server, 512);
+      (void)pair.client.TakeEvents();
+      (void)pair.server.TakeEvents();
+      ASSERT_EQ(pair.client.active_stream_count(),
+                ScanActiveStreams(pair.client, max_id));
+      ASSERT_EQ(pair.server.active_stream_count(),
+                ScanActiveStreams(pair.server, max_id));
+    }
+  }
+  EXPECT_FALSE(pair.client.dead());
+  EXPECT_FALSE(pair.server.dead());
+  EXPECT_GE(peak_active, 3u);  // the walk really overlaps streams
+}
+
+/// Opens stream 1 (HEADERS without END_STREAM) and stream 3, then sends
+/// `prefill` DATA bytes on stream 3 so the server's connection-level
+/// receive counter sits just below its WINDOW_UPDATE threshold.
+void OpenTwoStreams(Pair& pair, std::size_t prefill) {
+  pair.Handshake();
+  ASSERT_TRUE(pair.client.SubmitRequest(kGet, {}, false).ok());
+  ASSERT_TRUE(pair.client.SubmitRequest(kGet, {}, false).ok());
+  ASSERT_TRUE(pair.client.SubmitData(3, Bytes(prefill, 0x22), false).ok());
+  util::Status status;
+  EXPECT_TRUE(DeliverToServer(pair, status).empty());
+  ASSERT_TRUE(status.ok());
+}
+
+TEST(ConnectionStreams, DataOnStreamTheReceiverResetGetsStreamClosed) {
+  Pair pair;
+  OpenTwoStreams(pair, 32700);
+  // The server resets stream 1; the RST is still in flight when the
+  // client's DATA arrives.
+  ASSERT_TRUE(pair.server.ResetStream(1, ErrorCode::kCancel).ok());
+  (void)pair.server.TakeOutput();
+  EXPECT_EQ(pair.server.FindStream(1), nullptr);
+  ASSERT_TRUE(pair.client.SubmitData(1, Bytes(100, 0x33), false).ok());
+  util::Status status;
+  const std::vector<Frame> frames = ParseFrames(DeliverToServer(pair, status));
+  ASSERT_TRUE(status.ok());
+  EXPECT_FALSE(pair.server.dead());
+  // A STREAM_CLOSED stream error, and the 100 bytes still count against
+  // the connection window: 32,800 crosses the 32,768 threshold.
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].header.type, FrameType::kRstStream);
+  EXPECT_EQ(frames[0].header.stream_id, 1u);
+  EXPECT_EQ(ParseRstStreamPayload(frames[0]).value(), ErrorCode::kStreamClosed);
+  EXPECT_EQ(frames[1].header.type, FrameType::kWindowUpdate);
+  EXPECT_EQ(frames[1].header.stream_id, 0u);
+  EXPECT_EQ(ParseWindowUpdatePayload(frames[1]).value(), 32800u);
+}
+
+TEST(ConnectionStreams, DataOnStreamThePeerResetGetsStreamClosed) {
+  Pair pair;
+  OpenTwoStreams(pair, 32700);
+  // The client resets stream 1, then (misbehaving) keeps sending on it.
+  ASSERT_TRUE(pair.client.ResetStream(1, ErrorCode::kCancel).ok());
+  util::Status status;
+  EXPECT_TRUE(DeliverToServer(pair, status).empty());
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(pair.server.FindStream(1), nullptr);
+  ASSERT_TRUE(pair.server.Receive(SerializeFrame(MakeDataFrame(1, Bytes(100, 0x33), false)))
+                  .ok());
+  const std::vector<Frame> frames = ParseFrames(pair.server.TakeOutput());
+  EXPECT_FALSE(pair.server.dead());
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].header.type, FrameType::kRstStream);
+  EXPECT_EQ(frames[0].header.stream_id, 1u);
+  EXPECT_EQ(ParseRstStreamPayload(frames[0]).value(), ErrorCode::kStreamClosed);
+  EXPECT_EQ(frames[1].header.type, FrameType::kWindowUpdate);
+  EXPECT_EQ(frames[1].header.stream_id, 0u);
+  EXPECT_EQ(ParseWindowUpdatePayload(frames[1]).value(), 32800u);
+}
+
+/// Trailers on a reset stream are a STREAM_CLOSED connection error.
+void ExpectStreamClosedGoaway(Connection& connection, const util::Status& status) {
+  EXPECT_FALSE(status.ok());
+  EXPECT_TRUE(connection.dead());
+  const std::vector<Frame> frames = ParseFrames(connection.TakeOutput());
+  ASSERT_EQ(frames.size(), 1u);
+  ASSERT_EQ(frames[0].header.type, FrameType::kGoaway);
+  EXPECT_EQ(ParseGoawayPayload(frames[0]).value().error_code, ErrorCode::kStreamClosed);
+}
+
+TEST(ConnectionStreams, TrailersOnStreamTheReceiverResetCloseTheConnection) {
+  Pair pair;
+  OpenTwoStreams(pair, 0);
+  ASSERT_TRUE(pair.server.ResetStream(1, ErrorCode::kCancel).ok());
+  (void)pair.server.TakeOutput();
+  ASSERT_TRUE(pair.client.SubmitHeaders(1, {{"x-trailer", "1", false}}, true).ok());
+  ExpectStreamClosedGoaway(pair.server, pair.server.Receive(pair.client.TakeOutput()));
+}
+
+TEST(ConnectionStreams, TrailersOnStreamThePeerResetCloseTheConnection) {
+  Pair pair;
+  OpenTwoStreams(pair, 0);
+  ASSERT_TRUE(pair.client.ResetStream(1, ErrorCode::kCancel).ok());
+  util::Status status;
+  EXPECT_TRUE(DeliverToServer(pair, status).empty());
+  ASSERT_TRUE(status.ok());
+  hpack::Encoder encoder;
+  Frame trailers;
+  trailers.header.type = FrameType::kHeaders;
+  trailers.header.flags = kFlagEndHeaders | kFlagEndStream;
+  trailers.header.stream_id = 1;
+  trailers.payload = encoder.EncodeBlock({{"x-trailer", "1", false}});
+  trailers.header.length = static_cast<std::uint32_t>(trailers.payload.size());
+  status = pair.server.Receive(SerializeFrame(trailers));
+  ExpectStreamClosedGoaway(pair.server, status);
+}
+
+TEST(ConnectionStreams, ResponseOnStreamTheClientResetCountsAgainstWindow) {
+  Pair pair;
+  OpenTwoStreams(pair, 0);
+  // The client cancels stream 1 while the server's response is in flight.
+  ASSERT_TRUE(pair.client.ResetStream(1, ErrorCode::kCancel).ok());
+  (void)pair.client.TakeOutput();
+  ASSERT_TRUE(pair.server.SubmitHeaders(3, {{":status", "200", false}}, false).ok());
+  ASSERT_TRUE(pair.server.SubmitData(3, Bytes(32700, 0x44), false).ok());
+  ASSERT_TRUE(pair.client.Receive(pair.server.TakeOutput()).ok());
+  (void)pair.client.TakeOutput();
+  ASSERT_TRUE(pair.client.Receive(SerializeFrame(MakeDataFrame(1, Bytes(100, 0x55), true)))
+                  .ok());
+  const std::vector<Frame> frames = ParseFrames(pair.client.TakeOutput());
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].header.type, FrameType::kRstStream);
+  EXPECT_EQ(ParseRstStreamPayload(frames[0]).value(), ErrorCode::kStreamClosed);
+  EXPECT_EQ(frames[1].header.type, FrameType::kWindowUpdate);
+  EXPECT_EQ(frames[1].header.stream_id, 0u);
+  EXPECT_EQ(ParseWindowUpdatePayload(frames[1]).value(), 32800u);
+  EXPECT_EQ(pair.client.FindStream(1), nullptr);
+  EXPECT_FALSE(pair.client.dead());
+}
+
+TEST(ConnectionStreams, RefusedStreamHeaderBlockStillDecoded) {
+  Connection::Options server_options = ServerOptions();
+  server_options.local_settings.set_max_concurrent_streams(1);
+  Connection server(Connection::Role::kServer, server_options);
+  Connection client(Connection::Role::kClient, ClientOptions());
+  client.StartHandshake();
+  server.StartHandshake();
+  net::DirectLinkExchange(client, server);
+  // The refused request inserts a header into the HPACK dynamic table;
+  // the third request refers to it by index.  If the server skipped the
+  // refused block, its decoder would fall out of step.
+  const hpack::HeaderList custom = {{":method", "GET", false},
+                                    {":scheme", "https", false},
+                                    {":path", "/", false},
+                                    {"x-custom", "first-seen-in-refused", false}};
+  ASSERT_TRUE(client.SubmitRequest(kGet, {}, false).ok());
+  ASSERT_TRUE(client.SubmitRequest(custom, {}).ok());
+  net::DirectLinkExchange(client, server);
+  EXPECT_EQ(server.FindStream(3), nullptr);
+  ASSERT_TRUE(client.ResetStream(1, ErrorCode::kCancel).ok());
+  ASSERT_TRUE(client.SubmitRequest(custom, {}).ok());
+  net::DirectLinkExchange(client, server);
+  EXPECT_FALSE(server.dead());
+  const Stream* stream = server.FindStream(5);
+  ASSERT_NE(stream, nullptr);
+  ASSERT_EQ(stream->headers.size(), 4u);
+  EXPECT_EQ(stream->headers[3].value, "first-seen-in-refused");
 }
 
 }  // namespace
