@@ -20,9 +20,15 @@ std::string EncodeToHex(std::string_view text) {
 }
 
 struct RfcVector {
+  const char* label;  // where the literal appears in the RFC's examples
   const char* text;
   const char* hex;
 };
+
+// The printed parameter becomes the ctest name, so print the fixed label
+// rather than gtest's byte dump of the two pointers, which changes from run
+// to run.
+void PrintTo(const RfcVector& vector, std::ostream* os) { *os << vector.label; }
 
 class Rfc7541Vectors : public ::testing::TestWithParam<RfcVector> {};
 
@@ -46,20 +52,22 @@ TEST_P(Rfc7541Vectors, SizePredictionMatches) {
 INSTANTIATE_TEST_SUITE_P(
     AppendixC, Rfc7541Vectors,
     ::testing::Values(
-        RfcVector{"www.example.com", "f1e3 c2e5 f23a 6ba0 ab90 f4ff"},
-        RfcVector{"no-cache", "a8eb 1064 9cbf"},
-        RfcVector{"custom-key", "25a8 49e9 5ba9 7d7f"},
-        RfcVector{"custom-value", "25a8 49e9 5bb8 e8b4 bf"},
-        RfcVector{"302", "6402"},
-        RfcVector{"private", "aec3 771a 4b"},
-        RfcVector{"Mon, 21 Oct 2013 20:13:21 GMT",
+        RfcVector{"authority", "www.example.com",
+                  "f1e3 c2e5 f23a 6ba0 ab90 f4ff"},
+        RfcVector{"cache_control_no_cache", "no-cache", "a8eb 1064 9cbf"},
+        RfcVector{"custom_key", "custom-key", "25a8 49e9 5ba9 7d7f"},
+        RfcVector{"custom_value", "custom-value", "25a8 49e9 5bb8 e8b4 bf"},
+        RfcVector{"status_302", "302", "6402"},
+        RfcVector{"cache_control_private", "private", "aec3 771a 4b"},
+        RfcVector{"date_20_13_21", "Mon, 21 Oct 2013 20:13:21 GMT",
                   "d07a be94 1054 d444 a820 0595 040b 8166 e082 a62d 1bff"},
-        RfcVector{"https://www.example.com",
+        RfcVector{"location", "https://www.example.com",
                   "9d29 ad17 1863 c78f 0b97 c8e9 ae82 ae43 d3"},
-        RfcVector{"Mon, 21 Oct 2013 20:13:22 GMT",
+        RfcVector{"date_20_13_22", "Mon, 21 Oct 2013 20:13:22 GMT",
                   "d07a be94 1054 d444 a820 0595 040b 8166 e084 a62d 1bff"},
-        RfcVector{"gzip", "9bd9 ab"},
-        RfcVector{"foo=ASDJKHQKBZXOQWEOPIUAXQWEOIU; max-age=3600; version=1",
+        RfcVector{"content_encoding_gzip", "gzip", "9bd9 ab"},
+        RfcVector{"set_cookie",
+                  "foo=ASDJKHQKBZXOQWEOPIUAXQWEOIU; max-age=3600; version=1",
                   "94e7 821d d7f2 e6c7 b335 dfdf cd5b 3960 d5af 2708 7f36 72c1"
                   " ab27 0fb5 291f 9587 3160 65c0 03ed 4ee5 b106 3d50 07"}));
 

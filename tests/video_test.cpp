@@ -32,6 +32,13 @@ struct NegotiationCase {
   bool upscale, boost;
 };
 
+// The printed parameter goes into the ctest name; gtest's default byte dump
+// would include the pointers and padding, which change from run to run. The
+// case's name is already in the test name, so print the expected variant.
+void PrintTo(const NegotiationCase& c, std::ostream* os) {
+  *os << c.transmitted;
+}
+
 class VideoNegotiation : public ::testing::TestWithParam<NegotiationCase> {};
 
 TEST_P(VideoNegotiation, PicksCheapestReconstructibleVariant) {
