@@ -47,6 +47,12 @@ Connection::Connection(Role role, Options options)
   instruments_.stream_seconds = &registry.GetHistogram("http2.stream_seconds");
 }
 
+Connection::~Connection() {
+  obs::Tracer& tracer = obs::Tracer::Default();
+  for (const auto& [id, stream] : streams_) tracer.EndSpan(stream.span);
+  tracer.EndSpan(settings_span_);
+}
+
 void Connection::StartHandshake() {
   if (handshake_started_) return;
   handshake_started_ = true;

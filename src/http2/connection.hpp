@@ -61,6 +61,9 @@ class Connection {
   };
 
   Connection(Role role, Options options);
+  ~Connection();  ///< ends the spans of live streams and unacked SETTINGS
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
 
   /// Queue the connection preface: client preface string (client only) plus
   /// our initial SETTINGS frame.  Must be called once before any exchange.

@@ -71,27 +71,6 @@ Frame MakeDataFrame(std::uint32_t stream_id, BytesView data, bool end_stream) {
   return frame;
 }
 
-Frame MakeHeadersFrame(std::uint32_t stream_id, BytesView block_fragment,
-                       bool end_headers, bool end_stream) {
-  Frame frame;
-  frame.header.type = FrameType::kHeaders;
-  frame.header.stream_id = stream_id;
-  frame.header.flags = static_cast<std::uint8_t>(
-      (end_headers ? kFlagEndHeaders : 0) | (end_stream ? kFlagEndStream : 0));
-  frame.payload.assign(block_fragment.begin(), block_fragment.end());
-  return frame;
-}
-
-Frame MakeContinuationFrame(std::uint32_t stream_id, BytesView block_fragment,
-                            bool end_headers) {
-  Frame frame;
-  frame.header.type = FrameType::kContinuation;
-  frame.header.stream_id = stream_id;
-  frame.header.flags = end_headers ? kFlagEndHeaders : 0;
-  frame.payload.assign(block_fragment.begin(), block_fragment.end());
-  return frame;
-}
-
 Frame MakePriorityFrame(std::uint32_t stream_id, const PriorityPayload& priority) {
   Frame frame;
   frame.header.type = FrameType::kPriority;

@@ -112,10 +112,6 @@ struct GoawayPayload {
 
 /// Builders — produce fully-formed frames ready to serialize.
 Frame MakeDataFrame(std::uint32_t stream_id, util::BytesView data, bool end_stream);
-Frame MakeHeadersFrame(std::uint32_t stream_id, util::BytesView block_fragment,
-                       bool end_headers, bool end_stream);
-Frame MakeContinuationFrame(std::uint32_t stream_id, util::BytesView block_fragment,
-                            bool end_headers);
 Frame MakePriorityFrame(std::uint32_t stream_id, const PriorityPayload& priority);
 Frame MakeRstStreamFrame(std::uint32_t stream_id, ErrorCode error);
 Frame MakeSettingsFrame(const std::vector<SettingsEntry>& entries);

@@ -207,9 +207,4 @@ Status WriteMetricsFile(const std::string& path,
   return WriteTextFile(path, ExportJsonLines(snapshot));
 }
 
-Status WriteFramesFile(const std::string& path,
-                       const std::vector<const ConnectionTap*>& taps) {
-  return WriteTextFile(path, RenderFramesJsonLines(taps));
-}
-
 }  // namespace sww::obs

@@ -11,7 +11,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/flight.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -51,8 +50,5 @@ util::Status WriteTraceFile(const std::string& path,
                             std::string_view process_name = "sww");
 util::Status WriteMetricsFile(const std::string& path,
                               const RegistrySnapshot& snapshot);
-/// Flight-recorder frame log as JSONL (RenderFramesJsonLines).
-util::Status WriteFramesFile(const std::string& path,
-                             const std::vector<const ConnectionTap*>& taps);
 
 }  // namespace sww::obs

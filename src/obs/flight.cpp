@@ -12,60 +12,34 @@ const char* TapDirectionName(TapDirection direction) {
 }
 
 ConnectionTap::ConnectionTap(std::string label, std::size_t capacity)
-    : label_(std::move(label)), capacity_(std::max<std::size_t>(1, capacity)) {
-  ring_.reserve(std::min<std::size_t>(capacity_, 64));
-}
+    : label_(std::move(label)), ring_(std::max<std::size_t>(1, capacity)) {}
 
 void ConnectionTap::Record(FrameRecord record) {
   std::lock_guard<std::mutex> lock(mutex_);
-  record.sequence = total_++;
-  if (record.direction == TapDirection::kSent) {
-    ++total_sent_;
-  } else {
-    ++total_received_;
-  }
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(record));
-  } else {
-    ring_[next_] = std::move(record);
-    next_ = (next_ + 1) % capacity_;
-  }
+  record.sequence = ring_.total();
+  if (record.direction == TapDirection::kSent) ++total_sent_;
+  ring_.Push(std::move(record));
 }
 
 void ConnectionTap::Annotate(
     TapDirection direction, std::uint8_t type, std::uint32_t stream_id,
     std::vector<std::pair<std::string, std::string>> details) {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Newest first: walk backwards from the write cursor.
-  for (std::size_t offset = 0; offset < ring_.size(); ++offset) {
-    const std::size_t index =
-        (next_ + ring_.size() - 1 - offset) % ring_.size();
-    FrameRecord& record = ring_[index];
-    if (record.direction == direction && record.type == type &&
-        record.stream_id == stream_id) {
-      record.details = std::move(details);
-      return;
-    }
-  }
+  FrameRecord* record = ring_.FindNewest([&](const FrameRecord& r) {
+    return r.direction == direction && r.type == type &&
+           r.stream_id == stream_id;
+  });
+  if (record != nullptr) record->details = std::move(details);
 }
 
 std::vector<FrameRecord> ConnectionTap::Records() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<FrameRecord> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(next_ + i) % ring_.size()]);
-    }
-  }
-  return out;
+  return ring_.Snapshot();
 }
 
 std::uint64_t ConnectionTap::total_recorded() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return total_;
+  return ring_.total();
 }
 
 std::uint64_t ConnectionTap::total_sent() const {
@@ -75,19 +49,18 @@ std::uint64_t ConnectionTap::total_sent() const {
 
 std::uint64_t ConnectionTap::total_received() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return total_received_;
+  return ring_.total() - total_sent_;
 }
 
 std::uint64_t ConnectionTap::dropped() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return total_ - ring_.size();
+  return ring_.dropped();
 }
 
 void ConnectionTap::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
-  next_ = 0;
-  total_ = total_sent_ = total_received_ = 0;
+  ring_.Clear();
+  total_sent_ = 0;
 }
 
 FlightRecorder& FlightRecorder::Default() {

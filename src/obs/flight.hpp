@@ -3,9 +3,9 @@
 // The paper's whole argument lives on the wire — one SETTINGS parameter
 // deciding whether bytes or prompts flow — so the observability substrate
 // must be able to show the frames themselves, not just per-component
-// counters.  A ConnectionTap is a bounded ring buffer of FrameRecords that
-// an http2::Connection fills when (and only when) a tap is installed: with
-// no observer the connection hot paths pay a single null-check.  The
+// counters.  A ConnectionTap is a bounded ring (ring.hpp) of FrameRecords
+// that an http2::Connection fills when (and only when) a tap is installed:
+// with no observer the connection hot paths pay a single null-check.  The
 // FlightRecorder owns the taps for a run so exporters and the run analyzer
 // (report.hpp) can see every connection's frame log in one place.
 //
@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/ring.hpp"
 #include "util/error.hpp"
 
 namespace sww::obs {
@@ -47,9 +48,9 @@ struct FrameRecord {
   std::uint64_t sequence = 0;
 };
 
-/// Bounded per-connection frame log: overwrite-oldest ring buffer with a
-/// dropped-record count.  Thread-safe (connections are single-threaded,
-/// but taps outlive them and are read by exporters).
+/// Bounded per-connection frame log on an obs::Ring (capacity at least
+/// 1).  Thread-safe (connections are single-threaded, but taps outlive
+/// them and are read by exporters).
 class ConnectionTap {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
@@ -70,7 +71,8 @@ class ConnectionTap {
   std::vector<FrameRecord> Records() const;
 
   const std::string& label() const { return label_; }
-  std::size_t capacity() const { return capacity_; }
+  /// Fixed at construction, so read without the lock.
+  std::size_t capacity() const { return ring_.capacity(); }
   /// Every frame ever offered to Record (buffered + overwritten).
   std::uint64_t total_recorded() const;
   std::uint64_t total_sent() const;
@@ -83,12 +85,8 @@ class ConnectionTap {
  private:
   mutable std::mutex mutex_;
   std::string label_;
-  std::size_t capacity_;
-  std::vector<FrameRecord> ring_;  // grows to capacity_, then wraps
-  std::size_t next_ = 0;           // ring write cursor once full
-  std::uint64_t total_ = 0;
+  Ring<FrameRecord> ring_;
   std::uint64_t total_sent_ = 0;
-  std::uint64_t total_received_ = 0;
 };
 
 /// Owns the ConnectionTaps of a run.  Components hold raw tap pointers

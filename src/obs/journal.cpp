@@ -49,9 +49,7 @@ Journal& Journal::Default() {
   return *journal;                            // outlive static teardown
 }
 
-Journal::Journal(std::size_t capacity) : capacity_(capacity) {
-  ring_.reserve(capacity_ < 64 ? capacity_ : 64);
-}
+Journal::Journal(std::size_t capacity) : ring_(capacity) {}
 
 void Journal::Record(JournalRecord record) {
   RecordedTotalCounter().Add();
@@ -59,71 +57,39 @@ void Journal::Record(JournalRecord record) {
   // record on — dashboards alert on its rate, which needs a baseline.
   DroppedTotalCounter().Add(0);
   std::lock_guard<std::mutex> lock(mutex_);
-  ++total_;
-  if (capacity_ == 0) {
-    DroppedTotalCounter().Add();
-    return;
-  }
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(record));
-    return;
-  }
-  ring_[next_] = std::move(record);
-  next_ = (next_ + 1) % capacity_;
-  DroppedTotalCounter().Add();
-}
-
-std::vector<JournalRecord> Journal::OrderedLocked() const {
-  std::vector<JournalRecord> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
+  if (!ring_.Push(std::move(record))) DroppedTotalCounter().Add();
 }
 
 std::vector<JournalRecord> Journal::Records() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return OrderedLocked();
+  return ring_.Snapshot();
 }
 
 void Journal::SetCapacity(std::size_t capacity) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (capacity == capacity_) return;
-  std::vector<JournalRecord> ordered = OrderedLocked();
-  if (ordered.size() > capacity) {
-    const std::size_t evicted = ordered.size() - capacity;
-    ordered.erase(ordered.begin(),
-                  ordered.begin() + static_cast<std::ptrdiff_t>(evicted));
+  if (const std::size_t evicted = ring_.SetCapacity(capacity)) {
     DroppedTotalCounter().Add(evicted);  // dropped() grows by the same
   }
-  ring_ = std::move(ordered);
-  // Oldest-first layout: index 0 is both the oldest record and the next
-  // overwrite target once the ring is full again.
-  next_ = 0;
-  capacity_ = capacity;
 }
 
 std::size_t Journal::capacity() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return capacity_;
+  return ring_.capacity();
 }
 
 std::uint64_t Journal::total_recorded() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return total_;
+  return ring_.total();
 }
 
 std::uint64_t Journal::dropped() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return total_ - ring_.size();
+  return ring_.dropped();
 }
 
 void Journal::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
-  next_ = 0;
-  total_ = 0;
+  ring_.Clear();
 }
 
 std::string RenderJournalJsonLines(const std::vector<JournalRecord>& records,

@@ -11,12 +11,10 @@
 // percentile → exemplar trace id → journal record → flight-recorder
 // frames, with no joins across log formats.
 //
-// Storage follows the ConnectionTap discipline: a bounded
-// overwrite-oldest ring behind a mutex, with total/dropped counters that
-// survive overwrite, and a Clear() that empties but never invalidates
-// the handle.  Emitters (the generative client, the CDN edge) record
-// one event per fetch — a few hundred bytes at fetch rate, not frame
-// rate — so the mutex is nowhere near any hot path.
+// Records live in an obs::Ring (ring.hpp) behind a mutex.  Emitters (the
+// generative client, the CDN edge) record one event per fetch — a few
+// hundred bytes at fetch rate, not frame rate — so the mutex is nowhere
+// near any hot path.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +22,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/ring.hpp"
 
 namespace sww::obs {
 
@@ -70,8 +70,8 @@ struct JournalRecord {
   double energy_joules = 0.0;
 };
 
-/// Bounded wide-event ring: overwrite-oldest with drop accounting,
-/// mirroring ConnectionTap.  Thread-safe.
+/// Bounded wide-event store on an obs::Ring.  Capacity 0 drops every
+/// record (the counts still move).  Thread-safe.
 ///
 /// Offered and dropped records also mirror into Registry::Default() as
 /// the `journal.recorded_total` / `journal.dropped_total` counters, so
@@ -110,15 +110,8 @@ class Journal {
   void Clear();
 
  private:
-  /// Collapse the wrapped ring into oldest-first order.  Caller holds
-  /// mutex_.
-  std::vector<JournalRecord> OrderedLocked() const;
-
   mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::vector<JournalRecord> ring_;  // grows to capacity_, then wraps
-  std::size_t next_ = 0;             // ring write cursor once full
-  std::uint64_t total_ = 0;
+  Ring<JournalRecord> ring_;
 };
 
 /// JSONL rendering: one compact JSON object per record, oldest first,

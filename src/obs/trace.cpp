@@ -11,6 +11,15 @@ namespace {
 // repository does that).
 thread_local std::vector<SpanId> t_span_stack;
 
+// The open span with `id`, or nullptr.
+template <typename Spans>
+auto* FindOpen(Spans& open, SpanId id) {
+  const auto it = std::find_if(open.begin(), open.end(), [id](const Span& s) {
+    return s.id == id;
+  });
+  return it != open.end() ? &*it : nullptr;
+}
+
 std::optional<std::uint64_t> ParseHex(std::string_view text) {
   if (text.empty() || text.size() > 16) return std::nullopt;
   std::uint64_t value = 0;
@@ -78,89 +87,74 @@ Clock& Tracer::clock() {
 
 SpanId Tracer::BeginSpan(std::string_view name, std::string_view category,
                          SpanId parent) {
-  const SpanId id = BeginAsyncSpan(
-      name, category,
-      parent != 0 ? parent : (t_span_stack.empty() ? 0 : t_span_stack.back()));
-  if (id != 0) t_span_stack.push_back(id);
-  return id;
+  return Begin(name, category, parent != 0 ? parent : CurrentSpan(),
+               /*trace_id=*/0, /*on_stack=*/true);
 }
 
 SpanId Tracer::BeginAsyncSpan(std::string_view name, std::string_view category,
                               SpanId parent) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return BeginAsyncSpanLocked(name, category, parent, /*trace_id=*/0);
+  return Begin(name, category, parent, /*trace_id=*/0, /*on_stack=*/false);
 }
 
 SpanId Tracer::BeginSpanWithContext(std::string_view name,
                                     std::string_view category,
                                     const SpanContext& remote_parent) {
   if (!remote_parent.valid()) return BeginSpan(name, category);
-  SpanId id;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    id = BeginAsyncSpanLocked(name, category, remote_parent.span_id,
-                              remote_parent.trace_id);
-  }
-  if (id != 0) t_span_stack.push_back(id);
-  return id;
+  return Begin(name, category, remote_parent.span_id, remote_parent.trace_id,
+               /*on_stack=*/true);
 }
 
-SpanId Tracer::BeginAsyncSpanLocked(std::string_view name,
-                                    std::string_view category, SpanId parent,
-                                    TraceId trace_id) {
-  if (!enabled_) return 0;
-  Span span;
-  span.id = next_id_++;
-  span.parent = parent;
-  if (trace_id != 0) {
-    span.trace_id = trace_id;  // adopted from a remote context
-  } else if (parent != 0) {
-    // Inherit the parent's trace; a parent this tracer never saw (remote
-    // id without a context) starts a fresh trace.
-    const auto it = span_traces_.find(parent);
-    span.trace_id = it != span_traces_.end() ? it->second : next_trace_id_++;
-  } else {
-    span.trace_id = next_trace_id_++;  // root span mints the trace
+SpanId Tracer::Begin(std::string_view name, std::string_view category,
+                     SpanId parent, TraceId trace_id, bool on_stack) {
+  SpanId id = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!enabled_) return 0;
+    // Adopt a remote context's trace, else inherit the parent's.  A root
+    // span, or a parent this tracer does not hold (a remote id without a
+    // context, or one evicted from the finished ring), mints a fresh one.
+    if (trace_id == 0) trace_id = TraceOfLocked(parent);
+    Span& span = open_.emplace_back();
+    span.id = id = next_id_++;
+    span.parent = parent;
+    span.trace_id = trace_id != 0 ? trace_id : next_trace_id_++;
+    span.name = std::string(name);
+    span.category = std::string(category);
+    span.start_nanos = clock_->NowNanos();
   }
-  span.name = std::string(name);
-  span.category = std::string(category);
-  span.start_nanos = clock_->NowNanos();
-  span_traces_[span.id] = span.trace_id;
-  open_.push_back(std::move(span));
-  return open_.back().id;
+  if (on_stack) t_span_stack.push_back(id);
+  return id;
 }
 
 void Tracer::AddAttribute(SpanId id, std::string_view key,
                           std::string_view value) {
   if (id == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  for (Span& span : open_) {
-    if (span.id == id) {
-      span.attributes.emplace_back(std::string(key), std::string(value));
-      return;
-    }
+  if (Span* span = FindOpen(open_, id)) {
+    span->attributes.emplace_back(std::string(key), std::string(value));
   }
 }
 
 void Tracer::SetSpanProcess(SpanId id, std::string_view process) {
   if (id == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  for (Span& span : open_) {
-    if (span.id == id) {
-      span.process = std::string(process);
-      return;
-    }
-  }
+  if (Span* span = FindOpen(open_, id)) span->process = std::string(process);
+}
+
+TraceId Tracer::TraceOfLocked(SpanId id) const {
+  if (id == 0) return 0;
+  if (const Span* open = FindOpen(open_, id)) return open->trace_id;
+  const Span* finished =
+      finished_.FindNewest([id](const Span& span) { return span.id == id; });
+  return finished != nullptr ? finished->trace_id : 0;
 }
 
 SpanContext Tracer::ContextOf(SpanId id) const {
   SpanContext context;
   if (id == 0) return context;
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = span_traces_.find(id);
-  if (it == span_traces_.end()) return context;
-  context.trace_id = it->second;
-  context.span_id = id;
+  context.trace_id = TraceOfLocked(id);
+  if (context.trace_id != 0) context.span_id = id;
   return context;
 }
 
@@ -168,13 +162,11 @@ void Tracer::EndSpan(SpanId id) {
   if (id == 0) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = std::find_if(open_.begin(), open_.end(),
-                           [id](const Span& span) { return span.id == id; });
-    if (it != open_.end()) {
-      it->end_nanos = clock_->NowNanos();
-      it->finished = true;
-      finished_.push_back(std::move(*it));
-      open_.erase(it);
+    if (Span* span = FindOpen(open_, id)) {
+      span->end_nanos = clock_->NowNanos();
+      finished_.Push(std::move(*span));
+      if (span != &open_.back()) *span = std::move(open_.back());
+      open_.pop_back();
     }
   }
   auto stack_it = std::find(t_span_stack.begin(), t_span_stack.end(), id);
@@ -187,7 +179,7 @@ SpanId Tracer::CurrentSpan() const {
 
 std::vector<Span> Tracer::FinishedSpans() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return finished_;
+  return finished_.Snapshot();
 }
 
 std::size_t Tracer::finished_count() const {
@@ -195,11 +187,15 @@ std::size_t Tracer::finished_count() const {
   return finished_.size();
 }
 
+std::uint64_t Tracer::dropped() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return finished_.dropped();
+}
+
 void Tracer::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   open_.clear();
-  finished_.clear();
-  span_traces_.clear();
+  finished_.Clear();
   next_id_ = 1;
   next_trace_id_ = 1;
   t_span_stack.clear();

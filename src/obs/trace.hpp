@@ -14,8 +14,8 @@
 // viewable in chrome://tracing or Perfetto).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "obs/clock.hpp"
+#include "obs/ring.hpp"
 
 namespace sww::obs {
 
@@ -47,7 +48,6 @@ struct Span {
   std::string process;
   std::uint64_t start_nanos = 0;
   std::uint64_t end_nanos = 0;
-  bool finished = false;
   std::vector<std::pair<std::string, std::string>> attributes;
 
   double DurationSeconds() const {
@@ -79,6 +79,10 @@ class Tracer {
  public:
   /// The process-wide tracer every component records into by default.
   static Tracer& Default();
+
+  /// Finished spans kept before the oldest are overwritten (the journal's
+  /// capacity: a traced page fetch is a few dozen spans).
+  static constexpr std::size_t kFinishedCapacity = 8192;
 
   Tracer();
   Tracer(const Tracer&) = delete;
@@ -112,7 +116,8 @@ class Tracer {
   void AddAttribute(SpanId id, std::string_view key, std::string_view value);
   /// Label the span's process/role track for the exporter.
   void SetSpanProcess(SpanId id, std::string_view process);
-  /// The propagation context of a span (for the sww-trace header).
+  /// The propagation context of a span (for the sww-trace header); empty
+  /// for a span this tracer no longer holds.
   SpanContext ContextOf(SpanId id) const;
   /// Close the span; stamps the end time and pops it from the thread
   /// stack if present.  Ending an already-finished or unknown id is a
@@ -122,17 +127,23 @@ class Tracer {
   /// The innermost open span on the calling thread (0 when none).
   SpanId CurrentSpan() const;
 
-  /// All finished spans, in finish order.
+  /// The finished spans still held, in finish order.
   std::vector<Span> FinishedSpans() const;
   std::size_t finished_count() const;
+  /// Finished spans overwritten in the bounded store since the last Clear.
+  std::uint64_t dropped() const;
 
   /// Drop every span (open spans too) and reset the id sequence; the
   /// clock and enabled flag stay.
   void Clear();
 
  private:
-  SpanId BeginAsyncSpanLocked(std::string_view name, std::string_view category,
-                              SpanId parent, TraceId trace_id);
+  /// Open a span; `trace_id` 0 inherits the parent's trace.  Pushes onto
+  /// the thread's span stack when `on_stack`.
+  SpanId Begin(std::string_view name, std::string_view category,
+               SpanId parent, TraceId trace_id, bool on_stack);
+  /// Trace of an open or still-held finished span; 0 when unknown.
+  TraceId TraceOfLocked(SpanId id) const;
 
   mutable std::mutex mutex_;
   bool enabled_ = true;
@@ -140,9 +151,8 @@ class Tracer {
   Clock* clock_;  // never null
   SpanId next_id_ = 1;
   TraceId next_trace_id_ = 1;
-  std::vector<Span> open_;      // unfinished spans, unordered
-  std::vector<Span> finished_;  // finish order
-  std::map<SpanId, TraceId> span_traces_;  // id → trace, open and finished
+  std::vector<Span> open_;  // unfinished spans, unordered
+  Ring<Span> finished_{kFinishedCapacity};  // finish order
 };
 
 /// RAII span on the default tracer: opens on construction (auto-parented

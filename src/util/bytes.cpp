@@ -125,12 +125,6 @@ void BytesArena::Append(std::string_view text) {
 
 void BytesArena::AppendU8(std::uint8_t v) { *Claim(1) = v; }
 
-void BytesArena::AppendU16(std::uint16_t v) {
-  std::uint8_t* p = Claim(2);
-  p[0] = static_cast<std::uint8_t>(v >> 8);
-  p[1] = static_cast<std::uint8_t>(v);
-}
-
 void BytesArena::AppendU24(std::uint32_t v) {
   std::uint8_t* p = Claim(3);
   p[0] = static_cast<std::uint8_t>(v >> 16);
@@ -144,11 +138,6 @@ void BytesArena::AppendU32(std::uint32_t v) {
   p[1] = static_cast<std::uint8_t>(v >> 16);
   p[2] = static_cast<std::uint8_t>(v >> 8);
   p[3] = static_cast<std::uint8_t>(v);
-}
-
-void BytesArena::AppendU64(std::uint64_t v) {
-  AppendU32(static_cast<std::uint32_t>(v >> 32));
-  AppendU32(static_cast<std::uint32_t>(v));
 }
 
 void BytesArena::Clear() {

@@ -78,10 +78,8 @@ class BytesArena {
   void Append(std::string_view text);
   void AppendU8(std::uint8_t v);
   /// Big-endian fixed-width appends (frame headers are big-endian).
-  void AppendU16(std::uint16_t v);
   void AppendU24(std::uint32_t v);
   void AppendU32(std::uint32_t v);
-  void AppendU64(std::uint64_t v);
 
   /// Drop the contents, keep (most of) the capacity for the next cycle.
   void Clear();

@@ -240,6 +240,11 @@ struct InvalidDivCase {
   const char* html;
 };
 
+// The printed parameter becomes part of the ctest name; gtest's default
+// byte dump would print the two string addresses, which change from run to
+// run.
+void PrintTo(const InvalidDivCase& c, std::ostream* os) { *os << c.name; }
+
 class GeneratedContentInvalid : public ::testing::TestWithParam<InvalidDivCase> {};
 
 TEST_P(GeneratedContentInvalid, ReportedAsErrorNotSpec) {

@@ -271,6 +271,41 @@ TEST(Connection, RstStreamClosesAndReports) {
   EXPECT_EQ(pair.server.active_stream_count(), 0u);
 }
 
+TEST(Connection, DestructionEndsOpenSpans) {
+  obs::Tracer& tracer = obs::Tracer::Default();
+  const auto finished = [&tracer](obs::SpanId id) {
+    const std::vector<obs::Span> spans = tracer.FinishedSpans();
+    return std::any_of(spans.begin(), spans.end(),
+                       [id](const obs::Span& span) { return span.id == id; });
+  };
+  obs::SpanId stream_span = 0;
+  {
+    Pair pair;
+    pair.Handshake();
+    hpack::HeaderList request = {{":method", "GET", false},
+                                 {":scheme", "https", false},
+                                 {":path", "/", false}};
+    auto stream_id = pair.client.SubmitRequest(request, {});
+    ASSERT_TRUE(stream_id.ok());
+    net::DirectLinkExchange(pair.client, pair.server);
+    // Request sent, no response: the stream is still open on the client.
+    ASSERT_NE(pair.client.FindStream(stream_id.value()), nullptr);
+    stream_span = pair.client.FindStream(stream_id.value())->span;
+    ASSERT_NE(stream_span, 0u);
+    EXPECT_FALSE(finished(stream_span));
+  }
+  EXPECT_TRUE(finished(stream_span));
+
+  // A SETTINGS round-trip the peer never acknowledged ends too.
+  {
+    Connection lonely(Connection::Role::kClient, ClientOptions());
+    lonely.StartHandshake();
+  }
+  const std::vector<obs::Span> spans = tracer.FinishedSpans();
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans.back().name, "http2.settings_roundtrip");
+}
+
 TEST(Connection, BadClientPrefaceIsProtocolError) {
   Connection server(Connection::Role::kServer, ServerOptions());
   server.StartHandshake();

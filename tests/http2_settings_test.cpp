@@ -92,6 +92,12 @@ struct NegotiationCase {
   bool generative;
 };
 
+// The printed parameter becomes the ctest name; gtest's default byte dump
+// would include the struct's uninitialised padding.
+void PrintTo(const NegotiationCase& c, std::ostream* os) {
+  *os << "client" << c.client << "_server" << c.server;
+}
+
 class GenAbilityNegotiation : public ::testing::TestWithParam<NegotiationCase> {};
 
 TEST_P(GenAbilityNegotiation, MatrixMatchesPaper) {

@@ -59,6 +59,8 @@ TEST(InspectRun, ReportCoversTheWholeRun) {
   EXPECT_GT(report.frames_tapped, 0u);
   EXPECT_EQ(report.frames_dropped, 0u);
   EXPECT_EQ(report.frames_tapped, report.frames_recorded);
+  // The tracer's finished-span ring held every span too.
+  EXPECT_EQ(result.value().spans_dropped, 0u);
   EXPECT_TRUE(report.settings_gen_ability_seen);
   EXPECT_GT(report.frame_mix.at("SETTINGS"), 0u);
   EXPECT_GT(report.frame_mix.at("HEADERS"), 0u);

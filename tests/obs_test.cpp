@@ -238,6 +238,42 @@ TEST_F(TracerTest, SnapshotDeterministicUnderManualClock) {
   EXPECT_DOUBLE_EQ(first.back().DurationSeconds(), 4.75);
 }
 
+TEST(Tracer, FinishedStoreIsBounded) {
+  constexpr std::size_t kCapacity = Tracer::kFinishedCapacity;
+  Tracer tracer;
+  const SpanId parent = tracer.BeginAsyncSpan("parent");
+  const TraceId parent_trace = tracer.ContextOf(parent).trace_id;
+  tracer.EndSpan(parent);
+  // A finished parent still in the store passes its trace on.
+  const SpanId held_child = tracer.BeginAsyncSpan("child", "", parent);
+  EXPECT_EQ(tracer.ContextOf(held_child).trace_id, parent_trace);
+  tracer.EndSpan(held_child);
+
+  tracer.Clear();
+  const SpanId evicted = tracer.BeginAsyncSpan("evicted");
+  const TraceId evicted_trace = tracer.ContextOf(evicted).trace_id;
+  tracer.EndSpan(evicted);
+  for (std::size_t i = 1; i < 10 * kCapacity; ++i) {
+    tracer.EndSpan(tracer.BeginAsyncSpan("filler"));
+  }
+  EXPECT_EQ(tracer.finished_count(), kCapacity);
+  EXPECT_EQ(tracer.dropped(), 9 * kCapacity);
+  EXPECT_EQ(tracer.FinishedSpans().front().name, "filler");
+  EXPECT_FALSE(tracer.ContextOf(evicted).valid());
+
+  // A child of the evicted parent starts a fresh trace, as an unknown
+  // parent does.
+  const SpanId orphan = tracer.BeginAsyncSpan("orphan", "", evicted);
+  const TraceId orphan_trace = tracer.ContextOf(orphan).trace_id;
+  EXPECT_NE(orphan_trace, 0u);
+  EXPECT_NE(orphan_trace, evicted_trace);
+  for (const Span& span : tracer.FinishedSpans()) {
+    EXPECT_NE(span.trace_id, orphan_trace);
+  }
+  tracer.EndSpan(orphan);
+  EXPECT_EQ(tracer.dropped(), 9 * kCapacity + 1);
+}
+
 TEST_F(TracerTest, ChromeTraceExportRoundTripsThroughJsonParse) {
   Tracer& tracer = Tracer::Default();
   {

@@ -152,6 +152,7 @@ Result<InspectResult> RunInspect(const InspectOptions& options) {
                                      /*source_count=*/1);
   }
   result.journal_dropped = obs::Journal::Default().dropped();
+  result.spans_dropped = tracer.dropped();
 
   // --- analyze + render --------------------------------------------------
   const std::vector<obs::Span> spans = tracer.FinishedSpans();

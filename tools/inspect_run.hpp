@@ -40,6 +40,7 @@ struct InspectResult {
   std::string journal_jsonl;    ///< run.journal.jsonl (GET /debug/journal)
   std::string slo_report;       ///< slo.report.txt (SLO burn-rate report)
   std::uint64_t journal_dropped = 0;  ///< wide events lost to ring overwrite
+  std::uint64_t spans_dropped = 0;    ///< finished spans lost to ring overwrite
 };
 
 /// Run the instrumented session.  Resets the process-wide tracer,

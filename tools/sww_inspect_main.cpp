@@ -11,10 +11,10 @@
 // Deterministic by default (ManualClock from zero): running twice yields
 // byte-identical artifacts.  --wall-clock switches to real time.
 //
-// Exits non-zero when the flight-recorder or journal rings overwrote
-// records mid-run — dropped telemetry means the artifacts are partial, and
-// CI should notice rather than golden-diff a truncated view.  Pass
-// --allow-drops to downgrade that to a warning.
+// Exits 3 when the flight-recorder, journal or finished-span rings
+// overwrote records mid-run — dropped telemetry means the artifacts are
+// partial, and CI should notice rather than golden-diff a truncated view.
+// Pass --allow-drops to downgrade that to a warning.
 #include <cstdio>
 #include <string>
 
@@ -63,12 +63,14 @@ int main(int argc, char** argv) {
   std::printf("artifacts written to %s\n", out_dir.c_str());
   const std::uint64_t frame_drops = result.value().report.frames_dropped;
   const std::uint64_t journal_drops = result.value().journal_dropped;
-  if (frame_drops > 0 || journal_drops > 0) {
+  const std::uint64_t span_drops = result.value().spans_dropped;
+  if (frame_drops > 0 || journal_drops > 0 || span_drops > 0) {
     std::fprintf(stderr,
                  "telemetry rings overwrote records: %llu frames, %llu "
-                 "journal events%s\n",
+                 "journal events, %llu spans%s\n",
                  static_cast<unsigned long long>(frame_drops),
                  static_cast<unsigned long long>(journal_drops),
+                 static_cast<unsigned long long>(span_drops),
                  allow_drops ? " (--allow-drops: continuing)" : "");
     if (!allow_drops) return 3;
   }
