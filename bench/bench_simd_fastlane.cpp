@@ -1,15 +1,13 @@
-// simd_fastlane — the PR-7 compute fast lanes measured side by side with
-// the scalar oracle lane: the diffusion denoise blend, the fixed-tree
-// embedding dot, the counter-hash texture row, and the LZ77 match-driven
-// tokenizer.
+// simd_fastlane — the two compute fast lanes measured side by side with
+// the scalar oracle lane: the fixed-tree embedding dot and the LZ77
+// match-driven tokenizer.
 //
 // Identity between lanes is a modeled metric (gated exactly at 0
-// mismatches): every kernel is bit-identical in every dispatch lane, so
+// mismatches): both kernels are bit-identical in every dispatch lane, so
 // the modeled rows of this bench are the same whether CI forces
 // SWW_SIMD=scalar or the host runs AVX2.  Wall medians carry the
-// before/after story, and when a vector lane is active the bench fails
-// unless at least two of {denoise blend, embedding dot, LZ77 tokenize}
-// clear a 2x median speedup over the scalar oracle.
+// before/after story, and when the AVX2 lane is active the bench fails
+// unless both kernels clear a 2x median speedup over the scalar oracle.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -48,34 +46,10 @@ void simd_fastlane(sww::obs::bench::State& state) {
   std::size_t sink = 0;
   double fsink = 0.0;
   util::Rng rng(0x53494D44u);  // "SIMD"
-
-  // --- denoise blend: dst = t*src + (1-t)*dst over the latent grid -------
-  const std::size_t kCells = 4096;  // kSemanticGrid^2 — the real latent size
-  std::vector<double> latent0(kCells), target(kCells);
-  for (double& v : latent0) v = rng.NextGaussian(0.0, 40.0);
-  for (double& v : target) v = rng.NextGaussian(0.0, 40.0);
-  const double plant = 0.8375;
-  {
-    std::vector<double> oracle = latent0, fast = latent0;
-    simd::Blend(oracle.data(), target.data(), plant, kCells,
-                simd::Lane::kScalar);
-    simd::Blend(fast.data(), target.data(), plant, kCells, active);
-    state.Modeled("denoise_blend_bit_mismatches",
-                  static_cast<double>(BitMismatches(oracle, fast)));
-  }
-  std::vector<double> scratch = latent0;
-  auto time_blend = [&] {
-    state.Time("denoise_blend_simd", [&] {
-      simd::Blend(scratch.data(), target.data(), plant, kCells, active);
-      fsink += scratch[0];
-    });
-    state.Time("denoise_blend_scalar", [&] {
-      simd::Blend(scratch.data(), target.data(), plant, kCells,
-                  simd::Lane::kScalar);
-      fsink += scratch[0];
-    });
-  };
-  time_blend();
+  // The inputs are drawn from this stream after its first 8,192 Gaussian
+  // draws: the gated embedding_dot_checksum and lz77_op_stream_bytes
+  // baselines were recorded at that stream position.
+  for (int i = 0; i < 8192; ++i) rng.NextGaussian();
 
   // --- embedding dot: canonical fixed-tree order, per-lane ----------------
   constexpr std::size_t kPairs = 512;
@@ -120,29 +94,6 @@ void simd_fastlane(sww::obs::bench::State& state) {
   };
   time_dot();
 
-  // --- counter-hash texture row: one 4096-pixel row per call --------------
-  const std::size_t kRow = 4096;
-  {
-    std::vector<double> oracle(kRow), fast(kRow);
-    simd::CounterRangeRow(0x7e37a2u, 0, 17, -9.0, 9.0, oracle.data(), kRow,
-                          simd::Lane::kScalar);
-    simd::CounterRangeRow(0x7e37a2u, 0, 17, -9.0, 9.0, fast.data(), kRow,
-                          active);
-    state.Modeled("texture_row_bit_mismatches",
-                  static_cast<double>(BitMismatches(oracle, fast)));
-  }
-  std::vector<double> row(kRow);
-  state.Time("texture_row_simd", [&] {
-    simd::CounterRangeRow(0x7e37a2u, 0, 17, -9.0, 9.0, row.data(), kRow,
-                          active);
-    fsink += row[0];
-  });
-  state.Time("texture_row_scalar", [&] {
-    simd::CounterRangeRow(0x7e37a2u, 0, 17, -9.0, 9.0, row.data(), kRow,
-                          simd::Lane::kScalar);
-    fsink += row[0];
-  });
-
   // --- LZ77 tokenize: whole-path, lane pinned via SetActiveLane -----------
   // Corpus: repeating HTML-ish phrases with point mutations — long matches
   // so the match extender dominates, like the pages SwzCompress sees.
@@ -183,58 +134,37 @@ void simd_fastlane(sww::obs::bench::State& state) {
     return simd_ns > 0.0 ? scalar_ns / simd_ns : 0.0;
   };
   auto gate_cleared = [&] {
-    return (speedup("denoise_blend_scalar", "denoise_blend_simd") >= 2.0 ? 1
-                                                                         : 0) +
-           (speedup("embedding_dot_scalar", "embedding_dot_simd") >= 2.0 ? 1
-                                                                         : 0) +
-           (speedup("lz77_tokenize_scalar", "lz77_tokenize_simd") >= 2.0 ? 1
-                                                                         : 0);
+    return speedup("embedding_dot_scalar", "embedding_dot_simd") >= 2.0 &&
+           speedup("lz77_tokenize_scalar", "lz77_tokenize_simd") >= 2.0;
   };
   if (active == simd::Lane::kAvx2) {
     // Wall medians on a busy single-core host can dip on one attempt; the
-    // gate below is about the kernels, not the scheduler, so re-time the
-    // key pairs (Time overwrites its label) up to twice before judging.
-    for (int attempt = 0; attempt < 2 && gate_cleared() < 2; ++attempt) {
-      time_blend();
+    // gate below is about the kernels, not the scheduler, so re-time both
+    // pairs (Time overwrites its label) up to twice before judging.
+    for (int attempt = 0; attempt < 2 && !gate_cleared(); ++attempt) {
       time_dot();
       time_lz77();
     }
   }
-  const double blend_speedup =
-      speedup("denoise_blend_scalar", "denoise_blend_simd");
   const double dot_speedup = speedup("embedding_dot_scalar", "embedding_dot_simd");
-  const double texture_speedup = speedup("texture_row_scalar", "texture_row_simd");
   const double lz77_speedup = speedup("lz77_tokenize_scalar", "lz77_tokenize_simd");
-  state.Info("denoise_blend_speedup", blend_speedup);
   state.Info("embedding_dot_speedup", dot_speedup);
-  state.Info("texture_row_speedup", texture_speedup);
   state.Info("lz77_tokenize_speedup", lz77_speedup);
   std::printf("%-24s %8s\n", "kernel", "speedup");
-  std::printf("%-24s %7.2fx\n", "denoise blend", blend_speedup);
   std::printf("%-24s %7.2fx\n", "embedding dot", dot_speedup);
-  std::printf("%-24s %7.2fx\n", "texture row", texture_speedup);
   std::printf("%-24s %7.2fx\n", "lz77 tokenize", lz77_speedup);
 
   state.Check(sink > 0 && fsink == fsink, "fast-lane kernels produced no output");
-  if (active == simd::Lane::kAvx2) {
-    // The acceptance gate: with the AVX2 lane active, at least two of
-    // the three key kernels must clear 2x over the scalar oracle.  The
-    // gate is AVX2-only: the "scalar" oracle is auto-vectorized at -O3,
-    // so the 2-wide SSE2 lane cannot be expected to double it, and with
-    // SWW_SIMD=scalar forced both sides time the same code.  Identity
-    // metrics above apply to every lane regardless.
-    const int fast_kernels = (blend_speedup >= 2.0 ? 1 : 0) +
-                             (dot_speedup >= 2.0 ? 1 : 0) +
-                             (lz77_speedup >= 2.0 ? 1 : 0);
-    if (fast_kernels < 2) {
-      char msg[160];
-      std::snprintf(msg, sizeof(msg),
-                    "only %d of {blend %.2fx, dot %.2fx, lz77 %.2fx} cleared "
-                    "2x on lane %s",
-                    fast_kernels, blend_speedup, dot_speedup, lz77_speedup,
-                    std::string(simd::LaneName(active)).c_str());
-      state.Check(false, msg);
-    }
+  if (active == simd::Lane::kAvx2 && !gate_cleared()) {
+    // The acceptance gate: with the AVX2 lane active, both kernels must
+    // clear 2x over the scalar oracle.  With SWW_SIMD=scalar forced both
+    // sides time the same code, so only the identity metrics above apply.
+    char msg[160];
+    std::snprintf(msg, sizeof(msg),
+                  "{dot %.2fx, lz77 %.2fx} did not both clear 2x on lane %s",
+                  dot_speedup, lz77_speedup,
+                  std::string(simd::LaneName(active)).c_str());
+    state.Check(false, msg);
   }
 }
 SWW_BENCHMARK(simd_fastlane);

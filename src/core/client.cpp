@@ -279,18 +279,9 @@ Result<PageFetch> GenerativeClient::FetchPage(const std::string& path,
   const http2::Connection::WireStats& after = connection_->wire_stats();
   record.wire_bytes_sent = after.bytes_sent - before.bytes_sent;
   record.wire_bytes_received = after.bytes_received - before.bytes_received;
-  auto frame_total = [](const std::map<http2::FrameType, std::uint64_t>& mix) {
-    std::uint64_t total = 0;
-    for (const auto& [type, n] : mix) {
-      (void)type;
-      total += n;
-    }
-    return total;
-  };
-  record.frames_sent =
-      frame_total(after.frames_sent) - frame_total(before.frames_sent);
+  record.frames_sent = after.frames_sent.total() - before.frames_sent.total();
   record.frames_received =
-      frame_total(after.frames_received) - frame_total(before.frames_received);
+      after.frames_received.total() - before.frames_received.total();
   if (fetch.ok()) {
     const PageFetch& result = fetch.value();
     record.outcome = "ok";

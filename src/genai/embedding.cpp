@@ -44,7 +44,7 @@ Vec TextEmbedding(const std::vector<std::string>& tokens) {
   Vec sum{};
   for (const std::string& token : tokens) {
     const Vec e = TokenEmbedding(token);
-    util::simd::Axpy(sum.data(), e.data(), 1.0, kEmbeddingDim);
+    for (int d = 0; d < kEmbeddingDim; ++d) sum[d] += e[d];
   }
   Normalize(sum);
   return sum;
@@ -103,10 +103,9 @@ Vec FieldToEmbedding(const std::vector<double>& field) {
   Vec embedding{};
   const int cells = kSemanticGrid * kSemanticGrid;
   for (int c = 0; c < cells && c < static_cast<int>(field.size()); ++c) {
-    // Accumulation order over cells is unchanged; the axpy is elementwise
-    // across dimensions, so every lane produces the same bytes.
-    util::simd::Axpy(embedding.data(), CellBasis(c).data(),
-                     field[static_cast<std::size_t>(c)], kEmbeddingDim);
+    const Vec& basis = CellBasis(c);
+    const double scale = field[static_cast<std::size_t>(c)];
+    for (int d = 0; d < kEmbeddingDim; ++d) embedding[d] += scale * basis[d];
   }
   return embedding;
 }

@@ -39,7 +39,7 @@ using Vec = std::array<double, kEmbeddingDim>;
 /// Dot product in the canonical pairwise fixed-tree order defined by
 /// util::simd (64-element blocks reduced by a balanced stride-halving
 /// tree).  This IS the semantics — not an approximation of left-to-right
-/// summation — so the scalar oracle and the SSE2/AVX2 fast lanes agree to
+/// summation — so the scalar oracle and the AVX2 fast lane agree to
 /// the last bit and every modeled score is ISA-independent.
 double Dot(const Vec& a, const Vec& b);
 double Norm(const Vec& v);

@@ -91,7 +91,7 @@ void Connection::EnqueueFrameRef(FrameType type, std::uint8_t flags,
   AppendFrame(ref, output_);
   const std::size_t wire_size = kFrameHeaderSize + payload.size();
   stats_.bytes_sent += wire_size;
-  stats_.frames_sent[type]++;
+  stats_.frames_sent.Count(type);
   instruments_.bytes_sent->Add(wire_size);
   instruments_.frames_sent->Add();
   instruments_.frames_sent_by_type[static_cast<std::size_t>(type)]->Add();
@@ -292,7 +292,7 @@ Status Connection::Receive(BytesView bytes) {
     }
     if (!next.value().has_value()) break;
     Frame frame = std::move(*next.value());
-    stats_.frames_received[frame.header.type]++;
+    stats_.frames_received.Count(frame.header.type);
     instruments_.frames_received->Add();
     const auto type_index = static_cast<std::size_t>(frame.header.type);
     if (type_index < kFrameTypeCount) {
@@ -403,8 +403,11 @@ Status Connection::HandleHeaders(const Frame& frame) {
   // No record: a new stream above the watermarks, else reaped (closed).
   Stream* stream = FindMutableStream(stream_id);
   const bool opens = stream == nullptr && IsIdle(stream_id);
-  // A refused stream gets no record, but its header block is still
-  // assembled and decoded below to keep the HPACK state in sync.
+  // A refused or reaped stream gets no record, only a stream error, but
+  // its header block is still assembled and decoded below to keep the
+  // HPACK state in sync.  A reaped stream is one either side reset, or
+  // one already released; the peer may send on it before it sees our
+  // RST_STREAM, and that must not cost the other streams (RFC 9113 §5.1).
   bool refused = false;
   if (opens) {
     if (!IsPeerInitiated(stream_id)) {
@@ -419,6 +422,8 @@ Status Connection::HandleHeaders(const Frame& frame) {
     } else {
       last_peer_stream_id_ = stream_id;
     }
+  } else if (stream == nullptr) {
+    SendReset(stream_id, ErrorCode::kStreamClosed);
   }
 
   std::optional<PriorityPayload> priority;
@@ -428,7 +433,8 @@ Status Connection::HandleHeaders(const Frame& frame) {
   }
   if (opens) {
     if (!refused) OpenStream(stream_id);
-  } else if (stream == nullptr || stream->state == StreamState::kClosed) {
+  } else if (stream != nullptr && stream->state == StreamState::kClosed) {
+    // Both ends saw END_STREAM and the record waits to be released.
     return ConnectionError(ErrorCode::kStreamClosed, "HEADERS on closed stream");
   }
 
@@ -476,8 +482,8 @@ Status Connection::FinishHeaderBlock() {
     return ConnectionError(ErrorCode::kProtocolError, "header list too large");
   }
 
-  // No record: the stream was refused, or reset while its block was in
-  // flight.  The block was decoded only to keep the HPACK state in sync.
+  // No record: the stream was refused or reaped.  The block was decoded
+  // only to keep the HPACK state in sync.
   Stream* record = FindMutableStream(assembling_stream_id_);
   if (record == nullptr) return Status::Ok();
   Stream& stream = *record;

@@ -14,6 +14,7 @@
 // traditional content.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
@@ -32,6 +33,34 @@
 #include "util/error.hpp"
 
 namespace sww::http2 {
+
+/// Frames counted by wire type: one slot per RFC 9113 type and a last
+/// slot shared by every unknown extension type, so counting a frame is an
+/// array increment and a snapshot is a fixed-size copy.
+struct FrameCounts {
+  std::array<std::uint64_t, kFrameTypeCount + 1> by_slot{};
+
+  static std::size_t Slot(FrameType type) {
+    return std::min(static_cast<std::size_t>(type), kFrameTypeCount);
+  }
+  void Count(FrameType type) { ++by_slot[Slot(type)]; }
+  /// Frames of `type`; every unknown type reads the shared unknown slot.
+  std::uint64_t operator[](FrameType type) const { return by_slot[Slot(type)]; }
+  std::uint64_t total() const {
+    std::uint64_t sum = 0;
+    for (std::uint64_t n : by_slot) sum += n;
+    return sum;
+  }
+  /// The non-zero counts keyed by type, unknown frames under the first
+  /// unassigned type value.  fetchbench/main.cpp reads the mix this way.
+  operator std::map<FrameType, std::uint64_t>() const {
+    std::map<FrameType, std::uint64_t> mix;
+    for (std::size_t slot = 0; slot < by_slot.size(); ++slot) {
+      if (by_slot[slot] != 0) mix[static_cast<FrameType>(slot)] = by_slot[slot];
+    }
+    return mix;
+  }
+};
 
 class Connection {
  public:
@@ -156,8 +185,8 @@ class Connection {
     std::uint64_t bytes_sent = 0;
     std::uint64_t bytes_received = 0;
     std::uint64_t flow_control_stalls = 0;  ///< sends blocked on a window
-    std::map<FrameType, std::uint64_t> frames_sent;
-    std::map<FrameType, std::uint64_t> frames_received;
+    FrameCounts frames_sent;
+    FrameCounts frames_received;
   };
   const WireStats& wire_stats() const { return stats_; }
 

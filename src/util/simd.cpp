@@ -7,7 +7,6 @@
 #include <string>
 
 #include "util/log.hpp"
-#include "util/rng.hpp"
 
 #if defined(__x86_64__)
 #define SWW_SIMD_X86 1
@@ -25,10 +24,10 @@ namespace {
 // reduced by a balanced stride-halving tree, block sums combined by the
 // contiguous adjacent-pair tree TreeOverBlocks builds, the block count
 // padded to a power of two with +0.0.
-// Lanes differ only in how they evaluate one full 64-element block — a
-// scalar buffer, 32 SSE2 vectors, or 16 AVX2 vectors — and each of those
-// performs the identical tree, so the result is bit-identical by
-// construction rather than by tolerance.
+// The two lanes differ only in how they evaluate one full 64-element
+// block — a scalar buffer or 16 AVX2 vectors — and both perform the
+// identical tree, so the result is bit-identical by construction rather
+// than by tolerance.
 // ---------------------------------------------------------------------------
 
 inline constexpr std::size_t kBlock = 64;
@@ -43,20 +42,15 @@ double TreeOverBlocks(std::size_t first, std::size_t len, std::size_t blocks,
          TreeOverBlocks(first + half, half, blocks, block);
 }
 
-template <typename BlockFn>
-double ReduceBlocks(std::size_t n, const BlockFn& block) {
-  if (n == 0) return 0.0;
-  const std::size_t blocks = (n + kBlock - 1) / kBlock;
-  return TreeOverBlocks(0, std::bit_ceil(blocks), blocks, block);
-}
-
 /// Evaluate one (possibly ragged) block of a dot product with `block64`,
 /// a lane's full-block kernel.  The ragged tail is zero-padded, so its
 /// missing product terms enter the tree as +0.0 — the canonical padding.
 template <typename Block64>
 double DotWithBlocks(const double* a, const double* b, std::size_t n,
                      const Block64& block64) {
-  return ReduceBlocks(n, [&](std::size_t k) {
+  if (n == 0) return 0.0;
+  const std::size_t blocks = (n + kBlock - 1) / kBlock;
+  return TreeOverBlocks(0, std::bit_ceil(blocks), blocks, [&](std::size_t k) {
     const std::size_t begin = k * kBlock;
     if (begin + kBlock <= n) return block64(a + begin, b + begin);
     double pa[kBlock] = {};
@@ -64,17 +58,6 @@ double DotWithBlocks(const double* a, const double* b, std::size_t n,
     std::memcpy(pa, a + begin, (n - begin) * sizeof(double));
     std::memcpy(pb, b + begin, (n - begin) * sizeof(double));
     return block64(pa, pb);
-  });
-}
-
-template <typename Block64>
-double SumWithBlocks(const double* x, std::size_t n, const Block64& block64) {
-  return ReduceBlocks(n, [&](std::size_t k) {
-    const std::size_t begin = k * kBlock;
-    if (begin + kBlock <= n) return block64(x + begin);
-    double px[kBlock] = {};
-    std::memcpy(px, x + begin, (n - begin) * sizeof(double));
-    return block64(px);
   });
 }
 
@@ -91,32 +74,6 @@ double DotBlock64Scalar(const double* a, const double* b) {
   return buf[0];
 }
 
-double SumBlock64Scalar(const double* x) {
-  double buf[kBlock];
-  for (std::size_t i = 0; i < kBlock; ++i) buf[i] = x[i];
-  for (std::size_t s = kBlock / 2; s >= 1; s >>= 1) {
-    for (std::size_t i = 0; i < s; ++i) buf[i] += buf[i + s];
-  }
-  return buf[0];
-}
-
-void BlendScalar(double* dst, const double* src, double t, std::size_t n) {
-  const double u = 1.0 - t;
-  for (std::size_t i = 0; i < n; ++i) dst[i] = t * src[i] + u * dst[i];
-}
-
-void AxpyScalar(double* dst, const double* src, double scale, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] += scale * src[i];
-}
-
-void CounterRangeRowScalar(std::uint64_t seed, std::uint64_t x0,
-                           std::uint64_t y, double lo, double hi, double* out,
-                           std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = CounterRange(seed, x0 + i, y, lo, hi);
-  }
-}
-
 std::size_t MatchLengthScalar(const std::uint8_t* a, const std::uint8_t* b,
                               std::size_t limit) {
   std::size_t i = 0;
@@ -125,138 +82,6 @@ std::size_t MatchLengthScalar(const std::uint8_t* a, const std::uint8_t* b,
 }
 
 #if defined(SWW_SIMD_X86)
-
-// ---------------------------------------------------------------------------
-// SSE2 lane (x86-64 baseline — no target attribute needed).
-// ---------------------------------------------------------------------------
-
-double DotBlock64Sse2(const double* a, const double* b) {
-  __m128d v[32];
-  for (int i = 0; i < 32; ++i) {
-    v[i] = _mm_mul_pd(_mm_loadu_pd(a + 2 * i), _mm_loadu_pd(b + 2 * i));
-  }
-  // Stride-halving tree: element strides 32, 16, 8, 4, 2 are whole-vector
-  // adds; the final stride-1 add crosses the 2-wide vector.
-  for (int i = 0; i < 16; ++i) v[i] = _mm_add_pd(v[i], v[i + 16]);
-  for (int i = 0; i < 8; ++i) v[i] = _mm_add_pd(v[i], v[i + 8]);
-  for (int i = 0; i < 4; ++i) v[i] = _mm_add_pd(v[i], v[i + 4]);
-  for (int i = 0; i < 2; ++i) v[i] = _mm_add_pd(v[i], v[i + 2]);
-  v[0] = _mm_add_pd(v[0], v[1]);
-  const __m128d high = _mm_unpackhi_pd(v[0], v[0]);
-  return _mm_cvtsd_f64(_mm_add_sd(v[0], high));
-}
-
-double SumBlock64Sse2(const double* x) {
-  __m128d v[32];
-  for (int i = 0; i < 32; ++i) v[i] = _mm_loadu_pd(x + 2 * i);
-  for (int i = 0; i < 16; ++i) v[i] = _mm_add_pd(v[i], v[i + 16]);
-  for (int i = 0; i < 8; ++i) v[i] = _mm_add_pd(v[i], v[i + 8]);
-  for (int i = 0; i < 4; ++i) v[i] = _mm_add_pd(v[i], v[i + 4]);
-  for (int i = 0; i < 2; ++i) v[i] = _mm_add_pd(v[i], v[i + 2]);
-  v[0] = _mm_add_pd(v[0], v[1]);
-  const __m128d high = _mm_unpackhi_pd(v[0], v[0]);
-  return _mm_cvtsd_f64(_mm_add_sd(v[0], high));
-}
-
-void BlendSse2(double* dst, const double* src, double t, std::size_t n) {
-  const double u = 1.0 - t;
-  const __m128d vt = _mm_set1_pd(t);
-  const __m128d vu = _mm_set1_pd(u);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d s = _mm_loadu_pd(src + i);
-    const __m128d d = _mm_loadu_pd(dst + i);
-    _mm_storeu_pd(dst + i, _mm_add_pd(_mm_mul_pd(vt, s), _mm_mul_pd(vu, d)));
-  }
-  for (; i < n; ++i) dst[i] = t * src[i] + u * dst[i];
-}
-
-void AxpySse2(double* dst, const double* src, double scale, std::size_t n) {
-  const __m128d vs = _mm_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d s = _mm_loadu_pd(src + i);
-    const __m128d d = _mm_loadu_pd(dst + i);
-    _mm_storeu_pd(dst + i, _mm_add_pd(d, _mm_mul_pd(vs, s)));
-  }
-  for (; i < n; ++i) dst[i] += scale * src[i];
-}
-
-// 64-bit × 64-bit → low 64 bits, from 32×32→64 partial products.
-inline __m128i MulLo64Sse2(__m128i x, __m128i y) {
-  const __m128i lo = _mm_mul_epu32(x, y);
-  const __m128i t1 = _mm_mul_epu32(_mm_srli_epi64(x, 32), y);
-  const __m128i t2 = _mm_mul_epu32(x, _mm_srli_epi64(y, 32));
-  const __m128i hi = _mm_add_epi64(t1, t2);
-  return _mm_add_epi64(lo, _mm_slli_epi64(hi, 32));
-}
-
-/// Exact uint64 (< 2^53) → double: assemble from 32-bit halves with the
-/// 2^52 magic-bias trick; both halves and their recombination are exact.
-inline __m128d U64ToDoubleSse2(__m128i v) {
-  const __m128i magic_i = _mm_set1_epi64x(0x4330000000000000LL);
-  const __m128d magic_d = _mm_set1_pd(0x1.0p52);
-  const __m128i lo32 = _mm_and_si128(v, _mm_set1_epi64x(0xffffffffLL));
-  const __m128i hi = _mm_srli_epi64(v, 32);
-  const __m128d dlo =
-      _mm_sub_pd(_mm_castsi128_pd(_mm_or_si128(lo32, magic_i)), magic_d);
-  const __m128d dhi =
-      _mm_sub_pd(_mm_castsi128_pd(_mm_or_si128(hi, magic_i)), magic_d);
-  return _mm_add_pd(_mm_mul_pd(dhi, _mm_set1_pd(0x1.0p32)), dlo);
-}
-
-void CounterRangeRowSse2(std::uint64_t seed, std::uint64_t x0, std::uint64_t y,
-                         double lo, double hi, double* out, std::size_t n) {
-  // CounterHash(seed, a, b) = SplitMix64 finalizer applied to
-  //   seed + kMulA*(a+1) + kMulB*(b+1) + kGolden,
-  // with the row's b = y and the SplitMix64 increment folded into `base`.
-  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-  constexpr std::uint64_t kMulB = 0x94d049bb133111ebULL;
-  constexpr std::uint64_t kMix1 = 0xbf58476d1ce4e5b9ULL;
-  constexpr std::uint64_t kMix2 = 0x94d049bb133111ebULL;
-  const std::uint64_t base = seed + kMulB * (y + 1) + kGolden;
-  const __m128i vbase = _mm_set1_epi64x(static_cast<long long>(base));
-  const __m128i vmix1 = _mm_set1_epi64x(static_cast<long long>(kMix1));
-  const __m128i vmix2 = _mm_set1_epi64x(static_cast<long long>(kMix2));
-  const double range = hi - lo;
-  const __m128d vlo = _mm_set1_pd(lo);
-  const __m128d vrange = _mm_set1_pd(range);
-  const __m128d vscale = _mm_set1_pd(0x1.0p-53);
-  // kGolden * (a + 1) advances linearly in a, so carry it as a vector
-  // counter — one add per step instead of a 64-bit multiply and lane
-  // rebuild.  Wraparound mod 2^64 matches the scalar multiply exactly.
-  __m128i vxmul = _mm_set_epi64x(static_cast<long long>(kGolden * (x0 + 2)),
-                                 static_cast<long long>(kGolden * (x0 + 1)));
-  const __m128i vstep = _mm_set1_epi64x(static_cast<long long>(kGolden * 2));
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128i z = _mm_add_epi64(vbase, vxmul);
-    vxmul = _mm_add_epi64(vxmul, vstep);
-    z = MulLo64Sse2(_mm_xor_si128(z, _mm_srli_epi64(z, 30)), vmix1);
-    z = MulLo64Sse2(_mm_xor_si128(z, _mm_srli_epi64(z, 27)), vmix2);
-    z = _mm_xor_si128(z, _mm_srli_epi64(z, 31));
-    const __m128d unit =
-        _mm_mul_pd(U64ToDoubleSse2(_mm_srli_epi64(z, 11)), vscale);
-    _mm_storeu_pd(out + i, _mm_add_pd(vlo, _mm_mul_pd(unit, vrange)));
-  }
-  for (; i < n; ++i) out[i] = CounterRange(seed, x0 + i, y, lo, hi);
-}
-
-std::size_t MatchLengthSse2(const std::uint8_t* a, const std::uint8_t* b,
-                            std::size_t limit) {
-  std::size_t i = 0;
-  for (; i + 16 <= limit; i += 16) {
-    const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    const unsigned eq =
-        static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(va, vb)));
-    if (eq != 0xffffu) {
-      return i + static_cast<std::size_t>(__builtin_ctz(~eq & 0xffffu));
-    }
-  }
-  while (i < limit && a[i] == b[i]) ++i;
-  return i;
-}
 
 // ---------------------------------------------------------------------------
 // AVX2 lane (function-level target attribute; dispatched at runtime).
@@ -280,105 +105,6 @@ __attribute__((target("avx2"))) double DotBlock64Avx2(const double* a,
   return _mm_cvtsd_f64(_mm_add_sd(pair, high));
 }
 
-__attribute__((target("avx2"))) double SumBlock64Avx2(const double* x) {
-  __m256d v[16];
-  for (int i = 0; i < 16; ++i) v[i] = _mm256_loadu_pd(x + 4 * i);
-  for (int i = 0; i < 8; ++i) v[i] = _mm256_add_pd(v[i], v[i + 8]);
-  for (int i = 0; i < 4; ++i) v[i] = _mm256_add_pd(v[i], v[i + 4]);
-  for (int i = 0; i < 2; ++i) v[i] = _mm256_add_pd(v[i], v[i + 2]);
-  v[0] = _mm256_add_pd(v[0], v[1]);
-  const __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(v[0]),
-                                  _mm256_extractf128_pd(v[0], 1));
-  const __m128d high = _mm_unpackhi_pd(pair, pair);
-  return _mm_cvtsd_f64(_mm_add_sd(pair, high));
-}
-
-__attribute__((target("avx2"))) void BlendAvx2(double* dst, const double* src,
-                                               double t, std::size_t n) {
-  const double u = 1.0 - t;
-  const __m256d vt = _mm256_set1_pd(t);
-  const __m256d vu = _mm256_set1_pd(u);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d s = _mm256_loadu_pd(src + i);
-    const __m256d d = _mm256_loadu_pd(dst + i);
-    _mm256_storeu_pd(
-        dst + i, _mm256_add_pd(_mm256_mul_pd(vt, s), _mm256_mul_pd(vu, d)));
-  }
-  for (; i < n; ++i) dst[i] = t * src[i] + u * dst[i];
-}
-
-__attribute__((target("avx2"))) void AxpyAvx2(double* dst, const double* src,
-                                              double scale, std::size_t n) {
-  const __m256d vs = _mm256_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d s = _mm256_loadu_pd(src + i);
-    const __m256d d = _mm256_loadu_pd(dst + i);
-    _mm256_storeu_pd(dst + i, _mm256_add_pd(d, _mm256_mul_pd(vs, s)));
-  }
-  for (; i < n; ++i) dst[i] += scale * src[i];
-}
-
-__attribute__((target("avx2"))) inline __m256i MulLo64Avx2(__m256i x,
-                                                           __m256i y) {
-  const __m256i lo = _mm256_mul_epu32(x, y);
-  const __m256i t1 = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), y);
-  const __m256i t2 = _mm256_mul_epu32(x, _mm256_srli_epi64(y, 32));
-  const __m256i hi = _mm256_add_epi64(t1, t2);
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(hi, 32));
-}
-
-__attribute__((target("avx2"))) inline __m256d U64ToDoubleAvx2(__m256i v) {
-  const __m256i magic_i = _mm256_set1_epi64x(0x4330000000000000LL);
-  const __m256d magic_d = _mm256_set1_pd(0x1.0p52);
-  const __m256i lo32 = _mm256_and_si256(v, _mm256_set1_epi64x(0xffffffffLL));
-  const __m256i hi = _mm256_srli_epi64(v, 32);
-  const __m256d dlo =
-      _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(lo32, magic_i)), magic_d);
-  const __m256d dhi =
-      _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(hi, magic_i)), magic_d);
-  return _mm256_add_pd(_mm256_mul_pd(dhi, _mm256_set1_pd(0x1.0p32)), dlo);
-}
-
-__attribute__((target("avx2"))) void CounterRangeRowAvx2(
-    std::uint64_t seed, std::uint64_t x0, std::uint64_t y, double lo, double hi,
-    double* out, std::size_t n) {
-  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-  constexpr std::uint64_t kMulB = 0x94d049bb133111ebULL;
-  constexpr std::uint64_t kMix1 = 0xbf58476d1ce4e5b9ULL;
-  constexpr std::uint64_t kMix2 = 0x94d049bb133111ebULL;
-  const std::uint64_t base = seed + kMulB * (y + 1) + kGolden;
-  const __m256i vbase = _mm256_set1_epi64x(static_cast<long long>(base));
-  const __m256i vmix1 = _mm256_set1_epi64x(static_cast<long long>(kMix1));
-  const __m256i vmix2 = _mm256_set1_epi64x(static_cast<long long>(kMix2));
-  const double range = hi - lo;
-  const __m256d vlo = _mm256_set1_pd(lo);
-  const __m256d vrange = _mm256_set1_pd(range);
-  const __m256d vscale = _mm256_set1_pd(0x1.0p-53);
-  // kGolden * (a + 1) advances linearly in a, so carry it as a vector
-  // counter — one add per step instead of a 64-bit multiply and lane
-  // rebuild.  Wraparound mod 2^64 matches the scalar multiply exactly.
-  __m256i vxmul =
-      _mm256_set_epi64x(static_cast<long long>(kGolden * (x0 + 4)),
-                        static_cast<long long>(kGolden * (x0 + 3)),
-                        static_cast<long long>(kGolden * (x0 + 2)),
-                        static_cast<long long>(kGolden * (x0 + 1)));
-  const __m256i vstep = _mm256_set1_epi64x(static_cast<long long>(kGolden * 4));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i z = _mm256_add_epi64(vbase, vxmul);
-    vxmul = _mm256_add_epi64(vxmul, vstep);
-    z = MulLo64Avx2(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)), vmix1);
-    z = MulLo64Avx2(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)), vmix2);
-    z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
-    const __m256d unit =
-        _mm256_mul_pd(U64ToDoubleAvx2(_mm256_srli_epi64(z, 11)), vscale);
-    _mm256_storeu_pd(out + i, _mm256_add_pd(vlo, _mm256_mul_pd(unit, vrange)));
-  }
-  for (; i < n; ++i) out[i] = CounterRange(seed, x0 + i, y, lo, hi);
-}
-
 __attribute__((target("avx2"))) std::size_t MatchLengthAvx2(
     const std::uint8_t* a, const std::uint8_t* b, std::size_t limit) {
   std::size_t i = 0;
@@ -393,7 +119,7 @@ __attribute__((target("avx2"))) std::size_t MatchLengthAvx2(
       return i + static_cast<std::size_t>(__builtin_ctz(~eq));
     }
   }
-  return i + MatchLengthSse2(a + i, b + i, limit - i);
+  return i + MatchLengthScalar(a + i, b + i, limit - i);
 }
 
 #endif  // SWW_SIMD_X86
@@ -406,7 +132,6 @@ Lane DetectBestLane() {
 #if defined(SWW_SIMD_X86)
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) return Lane::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return Lane::kSse2;
 #endif
   return Lane::kScalar;
 }
@@ -419,8 +144,6 @@ Lane ResolveInitialLane() {
   Lane lane = best;
   if (requested == "scalar") {
     lane = Lane::kScalar;
-  } else if (requested == "sse2") {
-    lane = Lane::kSse2;
   } else if (requested == "avx2") {
     lane = Lane::kAvx2;
   } else {
@@ -448,8 +171,6 @@ std::string_view LaneName(Lane lane) {
   switch (lane) {
     case Lane::kScalar:
       return "scalar";
-    case Lane::kSse2:
-      return "sse2";
     case Lane::kAvx2:
       return "avx2";
   }
@@ -477,14 +198,7 @@ Lane SetActiveLane(Lane lane) {
 
 double DotPairwise(const double* a, const double* b, std::size_t n, Lane lane) {
 #if defined(SWW_SIMD_X86)
-  switch (lane) {
-    case Lane::kAvx2:
-      return DotWithBlocks(a, b, n, DotBlock64Avx2);
-    case Lane::kSse2:
-      return DotWithBlocks(a, b, n, DotBlock64Sse2);
-    case Lane::kScalar:
-      break;
-  }
+  if (lane == Lane::kAvx2) return DotWithBlocks(a, b, n, DotBlock64Avx2);
 #else
   (void)lane;
 #endif
@@ -495,107 +209,10 @@ double DotPairwise(const double* a, const double* b, std::size_t n) {
   return DotPairwise(a, b, n, ActiveLane());
 }
 
-double SumTree(const double* x, std::size_t n, Lane lane) {
-#if defined(SWW_SIMD_X86)
-  switch (lane) {
-    case Lane::kAvx2:
-      return SumWithBlocks(x, n, SumBlock64Avx2);
-    case Lane::kSse2:
-      return SumWithBlocks(x, n, SumBlock64Sse2);
-    case Lane::kScalar:
-      break;
-  }
-#else
-  (void)lane;
-#endif
-  return SumWithBlocks(x, n, SumBlock64Scalar);
-}
-
-double SumTree(const double* x, std::size_t n) {
-  return SumTree(x, n, ActiveLane());
-}
-
-void Blend(double* dst, const double* src, double t, std::size_t n, Lane lane) {
-#if defined(SWW_SIMD_X86)
-  switch (lane) {
-    case Lane::kAvx2:
-      BlendAvx2(dst, src, t, n);
-      return;
-    case Lane::kSse2:
-      BlendSse2(dst, src, t, n);
-      return;
-    case Lane::kScalar:
-      break;
-  }
-#else
-  (void)lane;
-#endif
-  BlendScalar(dst, src, t, n);
-}
-
-void Blend(double* dst, const double* src, double t, std::size_t n) {
-  Blend(dst, src, t, n, ActiveLane());
-}
-
-void Axpy(double* dst, const double* src, double scale, std::size_t n,
-          Lane lane) {
-#if defined(SWW_SIMD_X86)
-  switch (lane) {
-    case Lane::kAvx2:
-      AxpyAvx2(dst, src, scale, n);
-      return;
-    case Lane::kSse2:
-      AxpySse2(dst, src, scale, n);
-      return;
-    case Lane::kScalar:
-      break;
-  }
-#else
-  (void)lane;
-#endif
-  AxpyScalar(dst, src, scale, n);
-}
-
-void Axpy(double* dst, const double* src, double scale, std::size_t n) {
-  Axpy(dst, src, scale, n, ActiveLane());
-}
-
-void CounterRangeRow(std::uint64_t seed, std::uint64_t x0, std::uint64_t y,
-                     double lo, double hi, double* out, std::size_t n,
-                     Lane lane) {
-#if defined(SWW_SIMD_X86)
-  switch (lane) {
-    case Lane::kAvx2:
-      CounterRangeRowAvx2(seed, x0, y, lo, hi, out, n);
-      return;
-    case Lane::kSse2:
-      CounterRangeRowSse2(seed, x0, y, lo, hi, out, n);
-      return;
-    case Lane::kScalar:
-      break;
-  }
-#else
-  (void)lane;
-#endif
-  CounterRangeRowScalar(seed, x0, y, lo, hi, out, n);
-}
-
-void CounterRangeRow(std::uint64_t seed, std::uint64_t x0, std::uint64_t y,
-                     double lo, double hi, double* out, std::size_t n) {
-  CounterRangeRow(seed, x0, y, lo, hi, out, n, ActiveLane());
-}
-
 std::size_t MatchLength(const std::uint8_t* a, const std::uint8_t* b,
                         std::size_t limit, Lane lane) {
 #if defined(SWW_SIMD_X86)
-  switch (lane) {
-    case Lane::kAvx2:
-      return MatchLengthAvx2(a, b, limit);
-    case Lane::kSse2:
-      return MatchLengthSse2(a, b, limit);
-    case Lane::kScalar:
-      break;
-  }
+  if (lane == Lane::kAvx2) return MatchLengthAvx2(a, b, limit);
 #else
   (void)lane;
 #endif

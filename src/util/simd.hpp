@@ -1,30 +1,27 @@
 // simd.hpp — vectorized compute fast lanes with runtime CPU dispatch.
 //
-// The wire fast lanes (PR 5) left the compute side — diffusion denoise,
-// embedding dot products, the SWZ tokenizer — as the dominant cost of a
-// generative fetch.  This layer rebuilds those inner loops as SIMD
-// kernels without giving up the repository's core invariant: *every*
-// modeled byte and score is identical on every machine, at every thread
-// count, and now in every instruction-set lane.
+// Two inner loops of a generative fetch get a vector kernel: the
+// embedding dot product and the LZ77 match extender of the SWZ
+// tokenizer.  Both clear 2x over the scalar loop with AVX2 (see
+// bench_simd_fastlane); loops that do not stay plain C++ in their
+// callers (docs/performance.md §SIMD).  The repository's core invariant
+// holds here too: *every* modeled byte and score is identical on every
+// machine, at every thread count, and in every lane.
 //
-// Three lanes exist:
+// Two lanes exist:
 //
 //   * kScalar — portable C++, always available.  This is the in-tree
-//     ORACLE: the differential suites and benches compare the vector
-//     lanes against it, and `SWW_SIMD=scalar` forces it at runtime.
-//   * kSse2   — 2 doubles / 16 bytes per vector (baseline on x86-64).
+//     ORACLE: the differential suites and benches compare the AVX2 lane
+//     against it, and `SWW_SIMD=scalar` forces it at runtime.
 //   * kAvx2   — 4 doubles / 32 bytes per vector, selected when the CPU
 //     reports AVX2 support.
 //
 // Determinism contract (docs/performance.md §SIMD):
 //
-//   1. Elementwise kernels (Blend, Axpy, CounterRangeRow, MatchLength)
-//      perform the exact same IEEE operations per element in every lane
-//      — multiplies and adds in the same order, no FMA contraction — so
-//      lane choice cannot change a single output bit.
-//   2. Reductions (DotPairwise, SumTree) do NOT have a natural scalar
-//      order; instead the *fixed pairwise tree* below is the canonical
-//      semantics, and every lane (including scalar) computes it:
+//   1. MatchLength returns the exact common-prefix length in every lane.
+//   2. DotPairwise has no natural scalar order; instead the *fixed
+//      pairwise tree* below is the canonical semantics, and both lanes
+//      compute it:
 //
 //        - the input is split into 64-element blocks, the last block
 //          zero-padded; each block is reduced by a balanced
@@ -35,13 +32,12 @@
 //          balanced tree ((b0+b1)+(b2+b3))+…, the block count padded to
 //          a power of two with +0.0 sums.
 //
-//      `genai::Dot` adopts this as its definition (it was naive
-//      left-to-right before), so embedding scores are identical across
-//      scalar, SSE2 and AVX2 — and the AVX2 lane is simply fast, not
-//      "fast but approximately equal".
+//      `genai::Dot` adopts this as its definition, so embedding scores
+//      are identical in both lanes — and the AVX2 lane is simply fast,
+//      not "fast but approximately equal".
 //
 // Dispatch: ActiveLane() resolves once from CPUID, overridable with
-// SWW_SIMD=scalar|sse2|avx2 (clamped to what the host supports).  Every
+// SWW_SIMD=scalar|avx2 (clamped to what the host supports).  Every
 // kernel also takes an explicit Lane overload so differential tests and
 // benches can pin lanes without touching process state.
 #pragma once
@@ -54,12 +50,11 @@ namespace sww::util::simd {
 
 enum class Lane : int {
   kScalar = 0,  ///< portable C++ — the oracle lane
-  kSse2 = 1,    ///< 128-bit vectors
-  kAvx2 = 2,    ///< 256-bit vectors
+  kAvx2 = 1,    ///< 256-bit vectors
 };
 
-/// Stable lowercase lane name ("scalar", "sse2", "avx2") — the same
-/// tokens SWW_SIMD accepts.
+/// Stable lowercase lane name ("scalar", "avx2") — the same tokens
+/// SWW_SIMD accepts.
 std::string_view LaneName(Lane lane);
 
 /// True when this build *and* this CPU can execute `lane`.
@@ -79,42 +74,13 @@ Lane ActiveLane();
 /// installed.
 Lane SetActiveLane(Lane lane);
 
-// --- reductions (canonical fixed-tree order) -------------------------------
-
 /// Dot product of a[0..n) and b[0..n) in the canonical pairwise
 /// fixed-tree order described above.  Bit-identical across lanes.
 double DotPairwise(const double* a, const double* b, std::size_t n, Lane lane);
 double DotPairwise(const double* a, const double* b, std::size_t n);
 
-/// Horizontal sum of x[0..n) in the same fixed-tree order.
-double SumTree(const double* x, std::size_t n, Lane lane);
-double SumTree(const double* x, std::size_t n);
-
-// --- elementwise kernels ---------------------------------------------------
-
-/// dst[i] = t * src[i] + (1 - t) * dst[i] — the diffusion denoise blend.
-/// Exact per-element operation order: (t*src) + (u*dst) with u = 1 - t
-/// computed once; no FMA.
-void Blend(double* dst, const double* src, double t, std::size_t n, Lane lane);
-void Blend(double* dst, const double* src, double t, std::size_t n);
-
-/// dst[i] += scale * src[i] — the field→embedding back-projection.
-void Axpy(double* dst, const double* src, double scale, std::size_t n,
-          Lane lane);
-void Axpy(double* dst, const double* src, double scale, std::size_t n);
-
-/// out[i] = util::CounterRange(seed, x0 + i, y, lo, hi) for i in [0, n):
-/// one row of the stateless counter-hash texture RNG, 2 (SSE2) or 4
-/// (AVX2) lanes of (seed, x, y) hashed per step.  Bit-identical to the
-/// scalar CounterRange loop.
-void CounterRangeRow(std::uint64_t seed, std::uint64_t x0, std::uint64_t y,
-                     double lo, double hi, double* out, std::size_t n,
-                     Lane lane);
-void CounterRangeRow(std::uint64_t seed, std::uint64_t x0, std::uint64_t y,
-                     double lo, double hi, double* out, std::size_t n);
-
 /// Length of the common prefix of a[0..limit) and b[0..limit): the LZ77
-/// match extender, comparing 16/32 bytes per step in the vector lanes.
+/// match extender, comparing 32 bytes per step in the AVX2 lane.
 /// Never reads past a+limit / b+limit.
 std::size_t MatchLength(const std::uint8_t* a, const std::uint8_t* b,
                         std::size_t limit, Lane lane);

@@ -88,8 +88,10 @@ void ThreadPool::WorkerLoop(std::size_t index) {
   for (;;) {
     std::function<void()> task = TakeTask(index);
     if (task) {
-      task();
+      // Counted before it runs: a Submit future becomes ready inside
+      // task(), and whoever waited on it must already see the count.
       tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+      task();
       continue;
     }
     std::unique_lock<std::mutex> lock(wake_mutex_);

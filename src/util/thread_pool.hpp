@@ -41,7 +41,7 @@ class ThreadPool {
   /// Pool-wide activity counters (mirror these into obs::Registry from the
   /// owning layer; util:: cannot depend on obs::).
   struct Stats {
-    std::uint64_t tasks_executed = 0;
+    std::uint64_t tasks_executed = 0;  ///< counted as a worker starts each
     std::uint64_t steals = 0;
     std::uint64_t parallel_for_chunks = 0;
   };

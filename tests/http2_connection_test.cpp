@@ -207,9 +207,7 @@ TEST(Connection, OversizedHeaderBlockUsesContinuation) {
                                // Incompressible value far above one frame.
                                {"x-blob", std::string(40000, 'z'), false}};
   ASSERT_TRUE(pair.client.SubmitRequest(request, {}).ok());
-  const auto& sent = pair.client.wire_stats().frames_sent;
-  ASSERT_TRUE(sent.count(FrameType::kContinuation));
-  EXPECT_GE(sent.at(FrameType::kContinuation), 1u);
+  EXPECT_GE(pair.client.wire_stats().frames_sent[FrameType::kContinuation], 1u);
   net::DirectLinkExchange(pair.client, pair.server);
   const Stream* stream = pair.server.FindStream(1);
   ASSERT_NE(stream, nullptr);
@@ -376,10 +374,31 @@ TEST(Connection, WireStatsCountFramesAndBytes) {
   ASSERT_TRUE(pair.client.SubmitRequest(request, {}).ok());
   net::DirectLinkExchange(pair.client, pair.server);
   const auto& stats = pair.client.wire_stats();
-  EXPECT_GE(stats.frames_sent.at(FrameType::kSettings), 1u);
-  EXPECT_EQ(stats.frames_sent.at(FrameType::kHeaders), 1u);
+  EXPECT_GE(stats.frames_sent[FrameType::kSettings], 1u);
+  EXPECT_EQ(stats.frames_sent[FrameType::kHeaders], 1u);
   EXPECT_GT(stats.bytes_sent, kClientPreface.size());
   EXPECT_GT(stats.bytes_received, 0u);
+}
+
+TEST(Connection, WireStatsCountUnknownFrameTypesInOneSlot) {
+  Pair pair;
+  pair.Handshake();
+  const std::uint64_t before = pair.server.wire_stats().frames_received.total();
+  for (std::uint8_t type : {0x0b, 0xfa}) {
+    Frame frame;
+    frame.header.type = static_cast<FrameType>(type);
+    frame.header.stream_id = 1;
+    frame.payload = ToBytes("ext");
+    frame.header.length = static_cast<std::uint32_t>(frame.payload.size());
+    ASSERT_TRUE(pair.server.Receive(SerializeFrame(frame)).ok());
+  }
+  const FrameCounts& received = pair.server.wire_stats().frames_received;
+  EXPECT_EQ(received[static_cast<FrameType>(0x0b)], 2u);
+  EXPECT_EQ(received[static_cast<FrameType>(0xfa)], 2u);
+  EXPECT_EQ(received.total(), before + 2);
+  const std::map<FrameType, std::uint64_t> mix = received;
+  EXPECT_EQ(mix.at(static_cast<FrameType>(kFrameTypeCount)), 2u);
+  EXPECT_EQ(mix.at(FrameType::kSettings), received[FrameType::kSettings]);
 }
 
 TEST(Connection, ServerRejectsRequestWhenConcurrencyExceeded) {
@@ -666,41 +685,126 @@ TEST(ConnectionStreams, DataOnStreamThePeerResetGetsStreamClosed) {
   EXPECT_EQ(ParseWindowUpdatePayload(frames[1]).value(), 32800u);
 }
 
-/// Trailers on a reset stream are a STREAM_CLOSED connection error.
-void ExpectStreamClosedGoaway(Connection& connection, const util::Status& status) {
-  EXPECT_FALSE(status.ok());
-  EXPECT_TRUE(connection.dead());
+/// Trailers on a reset stream get a STREAM_CLOSED stream error: one
+/// RST_STREAM on that stream, and the connection stays up.
+void ExpectStreamClosedReset(Connection& connection, const util::Status& status) {
+  EXPECT_TRUE(status.ok());
+  EXPECT_FALSE(connection.dead());
   const std::vector<Frame> frames = ParseFrames(connection.TakeOutput());
   ASSERT_EQ(frames.size(), 1u);
-  ASSERT_EQ(frames[0].header.type, FrameType::kGoaway);
-  EXPECT_EQ(ParseGoawayPayload(frames[0]).value().error_code, ErrorCode::kStreamClosed);
+  ASSERT_EQ(frames[0].header.type, FrameType::kRstStream);
+  EXPECT_EQ(frames[0].header.stream_id, 1u);
+  EXPECT_EQ(ParseRstStreamPayload(frames[0]).value(), ErrorCode::kStreamClosed);
 }
 
-TEST(ConnectionStreams, TrailersOnStreamTheReceiverResetCloseTheConnection) {
+TEST(ConnectionStreams, TrailersOnStreamTheReceiverResetGetStreamClosed) {
   Pair pair;
   OpenTwoStreams(pair, 0);
   ASSERT_TRUE(pair.server.ResetStream(1, ErrorCode::kCancel).ok());
   (void)pair.server.TakeOutput();
   ASSERT_TRUE(pair.client.SubmitHeaders(1, {{"x-trailer", "1", false}}, true).ok());
-  ExpectStreamClosedGoaway(pair.server, pair.server.Receive(pair.client.TakeOutput()));
+  ExpectStreamClosedReset(pair.server, pair.server.Receive(pair.client.TakeOutput()));
+  // The dropped block was still decoded: stream 3's trailers refer to
+  // the table entry it added, and they arrive intact.
+  ASSERT_TRUE(pair.client.SubmitHeaders(3, {{"x-trailer", "1", false}}, true).ok());
+  util::Status status;
+  EXPECT_TRUE(DeliverToServer(pair, status).empty());
+  ASSERT_TRUE(status.ok());
+  const Stream* stream = pair.server.FindStream(3);
+  ASSERT_NE(stream, nullptr);
+  ASSERT_EQ(stream->trailers.size(), 1u);
+  EXPECT_EQ(stream->trailers[0].value, "1");
 }
 
-TEST(ConnectionStreams, TrailersOnStreamThePeerResetCloseTheConnection) {
+TEST(ConnectionStreams, TrailersOnStreamThePeerResetGetStreamClosed) {
   Pair pair;
   OpenTwoStreams(pair, 0);
   ASSERT_TRUE(pair.client.ResetStream(1, ErrorCode::kCancel).ok());
   util::Status status;
   EXPECT_TRUE(DeliverToServer(pair, status).empty());
   ASSERT_TRUE(status.ok());
+  // A misbehaving peer: its own encoder, trailers on the stream it reset,
+  // then a request on stream 5 that refers to the trailer's table entry.
   hpack::Encoder encoder;
-  Frame trailers;
-  trailers.header.type = FrameType::kHeaders;
-  trailers.header.flags = kFlagEndHeaders | kFlagEndStream;
-  trailers.header.stream_id = 1;
-  trailers.payload = encoder.EncodeBlock({{"x-trailer", "1", false}});
-  trailers.header.length = static_cast<std::uint32_t>(trailers.payload.size());
-  status = pair.server.Receive(SerializeFrame(trailers));
-  ExpectStreamClosedGoaway(pair.server, status);
+  const auto headers_frame = [&encoder](std::uint32_t stream_id,
+                                        const hpack::HeaderList& headers) {
+    Frame frame;
+    frame.header.type = FrameType::kHeaders;
+    frame.header.flags = kFlagEndHeaders | kFlagEndStream;
+    frame.header.stream_id = stream_id;
+    frame.payload = encoder.EncodeBlock(headers);
+    frame.header.length = static_cast<std::uint32_t>(frame.payload.size());
+    return SerializeFrame(frame);
+  };
+  status = pair.server.Receive(headers_frame(1, {{"x-trailer", "1", false}}));
+  ExpectStreamClosedReset(pair.server, status);
+  hpack::HeaderList request = kGet;
+  request.push_back({"x-trailer", "1", false});
+  ASSERT_TRUE(pair.server.Receive(headers_frame(5, request)).ok());
+  const Stream* stream = pair.server.FindStream(5);
+  ASSERT_NE(stream, nullptr);
+  ASSERT_EQ(stream->headers.size(), 4u);
+  EXPECT_EQ(stream->headers[3].value, "1");
+}
+
+TEST(ConnectionStreams, ResponseHeadersOnStreamTheClientResetKeepTheConnection) {
+  Pair pair;
+  pair.Handshake();
+  hpack::HeaderList request = kGet;
+  request.push_back({"x-page", "fig2", false});
+  ASSERT_TRUE(pair.client.SubmitRequest(request, {}).ok());  // stream 1
+  ASSERT_TRUE(pair.client.SubmitRequest(kGet, {}).ok());     // stream 3
+  util::Status status;
+  (void)DeliverToServer(pair, status);
+  ASSERT_TRUE(status.ok());
+  // Stream 1's response adds an entry to the server encoder's dynamic
+  // table; stream 3's response below refers to it by index.
+  const hpack::HeaderList response = {{":status", "200", false},
+                                      {"x-render", "on-device", false}};
+  ASSERT_TRUE(pair.server.SubmitHeaders(1, response, false).ok());
+  ASSERT_TRUE(pair.server.SubmitData(1, Bytes(100, 0x61), true).ok());
+  const Bytes in_flight = pair.server.TakeOutput();
+  // The client cancels stream 1 while its response is in flight.
+  ASSERT_TRUE(pair.client.ResetStream(1, ErrorCode::kCancel).ok());
+  ASSERT_TRUE(pair.client.Receive(in_flight).ok());
+  EXPECT_FALSE(pair.client.dead());
+  EXPECT_EQ(pair.client.FindStream(1), nullptr);
+  // CANCEL from the reset, then a STREAM_CLOSED answer to each of the
+  // HEADERS and the DATA frame.
+  const Bytes answers = pair.client.TakeOutput();
+  const std::vector<Frame> frames = ParseFrames(answers);
+  ASSERT_EQ(frames.size(), 3u);
+  const ErrorCode codes[] = {ErrorCode::kCancel, ErrorCode::kStreamClosed,
+                             ErrorCode::kStreamClosed};
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].header.type, FrameType::kRstStream);
+    EXPECT_EQ(frames[i].header.stream_id, 1u);
+    EXPECT_EQ(ParseRstStreamPayload(frames[i]).value(), codes[i]);
+  }
+  ASSERT_TRUE(pair.server.Receive(answers).ok());
+  EXPECT_FALSE(pair.server.dead());
+
+  // Stream 3 still completes, and its indexed response header decodes.
+  ASSERT_TRUE(pair.server.SubmitHeaders(3, response, false).ok());
+  ASSERT_TRUE(pair.server.SubmitData(3, ToBytes("page"), true).ok());
+  ASSERT_TRUE(pair.client.Receive(pair.server.TakeOutput()).ok());
+  const Stream* stream = pair.client.FindStream(3);
+  ASSERT_NE(stream, nullptr);
+  EXPECT_TRUE(stream->remote_end);
+  ASSERT_EQ(stream->headers.size(), 2u);
+  EXPECT_EQ(stream->headers[1].value, "on-device");
+  EXPECT_EQ(stream->body, ToBytes("page"));
+
+  // The next request refers to stream 1's request header by index.
+  ASSERT_TRUE(pair.client.SubmitRequest(request, {}).ok());  // stream 5
+  (void)DeliverToServer(pair, status);
+  ASSERT_TRUE(status.ok());
+  const Stream* next = pair.server.FindStream(5);
+  ASSERT_NE(next, nullptr);
+  ASSERT_EQ(next->headers.size(), 4u);
+  EXPECT_EQ(next->headers[3].value, "fig2");
+  EXPECT_FALSE(pair.client.dead());
+  EXPECT_FALSE(pair.server.dead());
 }
 
 TEST(ConnectionStreams, ResponseOnStreamTheClientResetCountsAgainstWindow) {

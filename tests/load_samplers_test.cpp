@@ -110,8 +110,7 @@ TEST(LoadSamplers, BitIdenticalAcrossSimdLanes) {
   std::vector<double> reference;
   std::vector<std::uint64_t> reference_u64;
   for (util::simd::Lane lane :
-       {util::simd::Lane::kScalar, util::simd::Lane::kSse2,
-        util::simd::Lane::kAvx2}) {
+       {util::simd::Lane::kScalar, util::simd::Lane::kAvx2}) {
     if (!util::simd::LaneSupported(lane)) continue;
     util::simd::SetActiveLane(lane);
     std::vector<double> draws;

@@ -130,6 +130,14 @@ TEST(ThreadPool, StatsCountExecutedTasksAndChunks) {
   EXPECT_GE(stats.parallel_for_chunks, 100u);
 }
 
+TEST(ThreadPool, StatsCountEachSubmittedTaskBeforeItsFutureIsReady) {
+  ThreadPool pool(4);
+  for (std::uint64_t i = 1; i <= 1000; ++i) {
+    pool.Submit([] {}).wait();
+    ASSERT_EQ(pool.stats().tasks_executed, i) << "after wait " << i;
+  }
+}
+
 TEST(ThreadPool, SharedPoolIsProcessWideSingleton) {
   ThreadPool& a = ThreadPool::Shared();
   ThreadPool& b = ThreadPool::Shared();
