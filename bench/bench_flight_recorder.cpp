@@ -13,10 +13,12 @@
 #include "obs/bench.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
+#include "oracles/http2.hpp"
 #include "util/bytes.hpp"
 
 namespace {
 
+namespace oracles = sww::oracles;
 using sww::http2::Connection;
 
 struct ConnectionPair {
@@ -35,8 +37,12 @@ struct ConnectionPair {
 
   void Shuttle() {
     for (int i = 0; i < 4; ++i) {
-      if (client->HasOutput()) (void)server->Receive(client->TakeOutput());
-      if (server->HasOutput()) (void)client->Receive(server->TakeOutput());
+      if (client->HasOutput()) {
+        (void)server->Receive(oracles::TakeOutput(*client));
+      }
+      if (server->HasOutput()) {
+        (void)client->Receive(oracles::TakeOutput(*server));
+      }
     }
     (void)client->TakeEvents();
     (void)server->TakeEvents();
@@ -45,8 +51,8 @@ struct ConnectionPair {
 
 void PingRoundTrip(ConnectionPair& pair, std::uint64_t opaque) {
   pair.client->SendPing(opaque);
-  (void)pair.server->Receive(pair.client->TakeOutput());
-  (void)pair.client->Receive(pair.server->TakeOutput());
+  (void)pair.server->Receive(oracles::TakeOutput(*pair.client));
+  (void)pair.client->Receive(oracles::TakeOutput(*pair.server));
   (void)pair.client->TakeEvents();
   (void)pair.server->TakeEvents();
 }

@@ -16,6 +16,8 @@
 #include "http2/connection.hpp"
 #include "net/pump.hpp"
 #include "obs/bench.hpp"
+#include "oracles/hpack.hpp"
+#include "oracles/http2.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -69,7 +71,7 @@ void hpack_codec(sww::obs::bench::State& state) {
   // The retired bit-at-a-time trie decoder, timed on the same input: the
   // before/after of the FSM fast lane, visible in every BENCH JSON.
   state.Time("huffman_decode_trie", [&] {
-    auto decoded = hpack::HuffmanDecodeTrie(encoded);
+    auto decoded = oracles::HuffmanDecodeTrie(encoded);
     sink += decoded.ok() ? decoded.value().size() : 0;
   });
   // Differential identity, gated exactly: FSM and trie must agree on a
@@ -81,7 +83,7 @@ void hpack_codec(sww::obs::bench::State& state) {
       util::Bytes blob(rng.NextIndex(64), 0);
       for (auto& b : blob) b = static_cast<std::uint8_t>(rng.NextBounded(256));
       auto fsm = hpack::HuffmanDecode(blob);
-      auto trie = hpack::HuffmanDecodeTrie(blob);
+      auto trie = oracles::HuffmanDecodeTrie(blob);
       if (fsm.ok() != trie.ok() ||
           (fsm.ok() && fsm.value() != trie.value())) {
         ++mismatches;
@@ -105,7 +107,7 @@ void http2_framing(sww::obs::bench::State& state) {
                                    std::size_t{16384}}) {
     util::Bytes payload(payload_size, 0x42);
     const util::Bytes wire =
-        http2::SerializeFrame(http2::MakeDataFrame(1, payload, false));
+        oracles::SerializeFrame(oracles::MakeDataFrame(1, payload, false));
     state.Modeled("data_frame_wire_bytes_" + std::to_string(payload_size),
                   static_cast<double>(wire.size()));
     state.Time("frame_parse_" + std::to_string(payload_size), [&] {
@@ -120,13 +122,13 @@ void http2_framing(sww::obs::bench::State& state) {
 
   // The entire per-connection cost of the SWW extension: one extra
   // 6-byte SETTINGS entry, serialized once.
-  const util::Bytes settings_wire = http2::SerializeFrame(
+  const util::Bytes settings_wire = oracles::SerializeFrame(
       http2::MakeSettingsFrame(
           {{http2::kSettingsGenAbility, http2::kGenAbilityFull}}));
   state.Modeled("gen_ability_settings_frame_bytes",
                 static_cast<double>(settings_wire.size()));
   state.Time("settings_frame_gen_ability", [&] {
-    sink += http2::SerializeFrame(http2::MakeSettingsFrame(
+    sink += oracles::SerializeFrame(http2::MakeSettingsFrame(
                                       {{http2::kSettingsGenAbility,
                                         http2::kGenAbilityFull}}))
                 .size();

@@ -22,6 +22,9 @@
 #include "net/tcp.hpp"
 #include "obs/bench.hpp"
 #include "obs/registry.hpp"
+#include "oracles/hpack.hpp"
+#include "oracles/http2.hpp"
+#include "oracles/net.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -48,9 +51,9 @@ void wire_fastlane(sww::obs::bench::State& state) {
   std::size_t lookup_mismatches = 0;
   for (const auto& [name, value] : probes) {
     if (hpack::StaticTableFind(name, value) !=
-            hpack::StaticTableFindLinear(name, value) ||
+            oracles::StaticTableFindLinear(name, value) ||
         hpack::StaticTableFindName(name) !=
-            hpack::StaticTableFindNameLinear(name)) {
+            oracles::StaticTableFindNameLinear(name)) {
       ++lookup_mismatches;
     }
   }
@@ -64,8 +67,8 @@ void wire_fastlane(sww::obs::bench::State& state) {
   });
   state.Time("static_lookup_linear", [&] {
     for (const auto& [name, value] : probes) {
-      sink += hpack::StaticTableFindLinear(name, value);
-      sink += hpack::StaticTableFindNameLinear(name);
+      sink += oracles::StaticTableFindLinear(name, value);
+      sink += oracles::StaticTableFindNameLinear(name);
     }
   });
 
@@ -98,7 +101,7 @@ void wire_fastlane(sww::obs::bench::State& state) {
     http2::Frame frame;
     frame.header = ref.header;
     frame.payload = payload;
-    const Bytes expected = http2::SerializeFrame(frame);
+    const Bytes expected = oracles::SerializeFrame(frame);
     http2::AppendFrame(ref, arena);
     const BytesView got = arena.View();
     const bool identical =
@@ -119,7 +122,7 @@ void wire_fastlane(sww::obs::bench::State& state) {
       http2::Frame frame;
       frame.header = ref.header;
       frame.payload = payload;
-      bytes += http2::SerializeFrame(frame).size();
+      bytes += oracles::SerializeFrame(frame).size();
     }
     sink += bytes;
   });
@@ -293,7 +296,8 @@ void wire_fastlane(sww::obs::bench::State& state) {
       state.Check(listener.ok(), "tcp loopback bind failed");
       if (listener.ok()) {
         auto client_transport = net::TcpConnect(listener.value()->port());
-        auto server_transport = listener.value()->Accept(5000);
+        auto server_transport =
+            oracles::AcceptWithin(*listener.value(), 5000);
         state.Check(client_transport.ok() && server_transport.ok(),
                     "tcp loopback connect/accept failed");
         if (client_transport.ok() && server_transport.ok()) {

@@ -28,8 +28,7 @@ Result<std::unique_ptr<GenerativeClient>> GenerativeClient::Create(
 
 GenerativeClient::GenerativeClient(Options options, MediaGenerator generator)
     : options_(std::move(options)),
-      generator_(std::make_unique<MediaGenerator>(std::move(generator))),
-      prompt_cache_(options_.prompt_cache_bytes) {
+      generator_(std::make_unique<MediaGenerator>(std::move(generator))) {
   http2::Connection::Options conn_options;
   conn_options.local_settings.set_gen_ability(options_.advertised_ability);
   conn_options.local_settings.set_enable_push(false);
@@ -192,21 +191,19 @@ Status GenerativeClient::MaterializePage(PageFetch& fetch, const PumpFn& pump) {
 
   // Unique content files "are fetched, same as today" — follow root-
   // relative <img> links that generation did not satisfy locally.
-  if (options_.fetch_assets) {
-    for (html::Node* img : document.value()->FindByTag("img")) {
-      const std::string src = img->GetAttribute("src").value_or("");
-      if (src.empty() || src[0] != '/') continue;  // local generated file
-      if (fetch.files.count(src) != 0) continue;
-      auto asset = FetchRaw(src, pump);
-      if (!asset) return asset.error();
-      if (asset.value().status == 200) {
-        fetch.asset_bytes += asset.value().wire_body_bytes;
-        instruments_.asset_bytes->Observe(
-            static_cast<double>(asset.value().wire_body_bytes),
-            span.context().trace_id,
-            obs::Tracer::Default().clock().NowNanos());
-        fetch.files[src] = asset.value().body;
-      }
+  for (html::Node* img : document.value()->FindByTag("img")) {
+    const std::string src = img->GetAttribute("src").value_or("");
+    if (src.empty() || src[0] != '/') continue;  // local generated file
+    if (fetch.files.count(src) != 0) continue;
+    auto asset = FetchRaw(src, pump);
+    if (!asset) return asset.error();
+    if (asset.value().status == 200) {
+      fetch.asset_bytes += asset.value().wire_body_bytes;
+      instruments_.asset_bytes->Observe(
+          static_cast<double>(asset.value().wire_body_bytes),
+          span.context().trace_id,
+          obs::Tracer::Default().clock().NowNanos());
+      fetch.files[src] = asset.value().body;
     }
   }
 

@@ -77,12 +77,9 @@ class GenerativeClient {
     /// Generate on the laptop profile (end-user device) by default.
     bool laptop = true;
     MediaGenerator::Options generator;
-    /// Fetch unique assets referenced by <img src="/..."> links.
-    bool fetch_assets = true;
-    /// Cache generative-mode page bodies locally: a revisit regenerates
-    /// everything on-device without touching the network.
+    /// Cache generative-mode page bodies locally (512 KiB): a revisit
+    /// regenerates everything on-device without touching the network.
     bool enable_prompt_cache = false;
-    std::size_t prompt_cache_bytes = 512 * 1024;
     /// Advertise "accept-encoding: swz"; responses arrive content-coded
     /// and are decoded transparently (page_bytes reports wire bytes).
     bool accept_compression = false;

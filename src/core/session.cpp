@@ -76,23 +76,17 @@ Result<PageFetch> LocalSession::FetchPage(const std::string& path) {
 
 Result<std::unique_ptr<LoopbackSession>> LoopbackSession::Connect(
     std::uint16_t port) {
-  return Connect(port, Options{});
-}
-
-Result<std::unique_ptr<LoopbackSession>> LoopbackSession::Connect(
-    std::uint16_t port, Options options) {
-  auto transport = net::TcpConnect(port, options.connect_timeout_ms);
+  auto transport = net::TcpConnect(port, kConnectTimeoutMs);
   if (!transport.ok()) return transport.error();
-  auto client = GenerativeClient::Create(options.client);
+  auto client = GenerativeClient::Create({});
   if (!client.ok()) return client.error();
-  auto session = std::unique_ptr<LoopbackSession>(
-      new LoopbackSession(std::move(client).value(),
-                          std::move(transport).value(), std::move(options)));
+  auto session = std::unique_ptr<LoopbackSession>(new LoopbackSession(
+      std::move(client).value(), std::move(transport).value()));
   session->client_->StartHandshake();
   // Drive the handshake against the live server under the pump deadline.
   const auto pump = session->Pump();
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(session->options_.pump_timeout_ms);
+                        std::chrono::milliseconds(kPumpTimeoutMs);
   while (!(session->client_->connection().remote_settings_received() &&
            session->client_->connection().local_settings_acked())) {
     if (Status status = pump(); !status.ok()) return status.error();
@@ -121,7 +115,7 @@ GenerativeClient::PumpFn LoopbackSession::Pump() {
       return Error(ErrorCode::kClosed, "server closed the connection");
     }
     if (now - *last_progress >
-        std::chrono::milliseconds(options_.pump_timeout_ms)) {
+        std::chrono::milliseconds(kPumpTimeoutMs)) {
       return Error(ErrorCode::kIo, "pump made no progress before deadline");
     }
     std::this_thread::sleep_for(std::chrono::microseconds(100));

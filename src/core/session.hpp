@@ -55,25 +55,20 @@ class LocalSession {
 
 class LoopbackSession {
  public:
-  struct Options {
-    GenerativeClient::Options client;
-    /// Dial deadline (surfaces ECONNREFUSED/ETIMEDOUT from TcpConnect).
-    int connect_timeout_ms = 5000;
-    /// Give up a fetch when the socket makes no progress for this long.
-    int pump_timeout_ms = 10'000;
-  };
+  /// Dial deadline (surfaces ECONNREFUSED/ETIMEDOUT from TcpConnect).
+  static constexpr int kConnectTimeoutMs = 5000;
+  /// Give up a fetch when the socket makes no progress for this long.
+  static constexpr int kPumpTimeoutMs = 10'000;
 
-  /// Dial 127.0.0.1:`port` and run the preface + SETTINGS exchange to
-  /// completion against the live server.
+  /// Dial 127.0.0.1:`port` with a default-options client and run the
+  /// preface + SETTINGS exchange to completion against the live server.
   static util::Result<std::unique_ptr<LoopbackSession>> Connect(
       std::uint16_t port);
-  static util::Result<std::unique_ptr<LoopbackSession>> Connect(
-      std::uint16_t port, Options options);
 
   GenerativeClient& client() { return *client_; }
 
   /// Socket-backed pump: one PumpOnce over the transport; yields the CPU
-  /// briefly when the wire is idle, errors after pump_timeout_ms of no
+  /// briefly when the wire is idle, errors after kPumpTimeoutMs of no
   /// progress.
   GenerativeClient::PumpFn Pump();
 
@@ -84,14 +79,11 @@ class LoopbackSession {
 
  private:
   LoopbackSession(std::unique_ptr<GenerativeClient> client,
-                  std::unique_ptr<net::Transport> transport, Options options)
-      : client_(std::move(client)),
-        transport_(std::move(transport)),
-        options_(std::move(options)) {}
+                  std::unique_ptr<net::Transport> transport)
+      : client_(std::move(client)), transport_(std::move(transport)) {}
 
   std::unique_ptr<GenerativeClient> client_;
   std::unique_ptr<net::Transport> transport_;
-  Options options_;
 };
 
 }  // namespace sww::core

@@ -319,42 +319,4 @@ Result<std::string> HuffmanDecode(BytesView encoded) {
   return out;
 }
 
-Result<std::string> HuffmanDecodeTrie(BytesView encoded) {
-  const Trie& trie = GetTrie();
-  std::string out;
-  out.reserve(DecodedSizeHint(encoded.size()));
-  int node = 0;
-  int bits_since_symbol = 0;    // depth into the current (incomplete) code
-  bool padding_all_ones = true; // RFC 7541 §5.2: padding must be EOS prefix
-  for (std::uint8_t byte : encoded) {
-    for (int bit_index = 7; bit_index >= 0; --bit_index) {
-      const int bit = (byte >> bit_index) & 1;
-      if (bit == 0) padding_all_ones = false;
-      const int next = trie.node(node).child[bit];
-      if (next < 0) {
-        return Error(ErrorCode::kCompression, "huffman: invalid code path");
-      }
-      node = next;
-      ++bits_since_symbol;
-      const int symbol = trie.node(node).symbol;
-      if (symbol >= 0) {
-        if (symbol == 256) {
-          return Error(ErrorCode::kCompression, "huffman: explicit EOS in data");
-        }
-        out.push_back(static_cast<char>(symbol));
-        node = 0;
-        bits_since_symbol = 0;
-        padding_all_ones = true;
-      }
-    }
-  }
-  if (bits_since_symbol > 7) {
-    return Error(ErrorCode::kCompression, "huffman: padding longer than 7 bits");
-  }
-  if (bits_since_symbol > 0 && !padding_all_ones) {
-    return Error(ErrorCode::kCompression, "huffman: padding is not EOS prefix");
-  }
-  return out;
-}
-
 }  // namespace sww::hpack

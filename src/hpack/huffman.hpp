@@ -7,9 +7,9 @@
 // (one whole input byte per step, 0–2 symbols emitted per step) built once
 // from the code table; the RFC's padding rules (at most 7 bits, all ones,
 // EOS itself never decoded) are folded into the per-state flags.  The
-// original bit-at-a-time trie walk is kept as HuffmanDecodeTrie — the
-// oracle the differential test suite and benchmarks verify the FSM
-// against, byte for byte.
+// bit-at-a-time trie walk the FSM replaced lives next to the tests
+// (tests/oracles/hpack.hpp), which verify the FSM against it byte for
+// byte.
 #pragma once
 
 #include <cstdint>
@@ -42,11 +42,6 @@ void HuffmanEncode(std::string_view text, util::Bytes& out);
 /// padding that is not all ones — each of which RFC 7541 §5.2 requires
 /// treating as a decoding error.
 util::Result<std::string> HuffmanDecode(util::BytesView encoded);
-
-/// Reference decoder: the original bit-at-a-time trie walk.  Semantically
-/// identical to HuffmanDecode (same outputs, same error classes); kept as
-/// the oracle for the differential suite and the speedup benchmarks.
-util::Result<std::string> HuffmanDecodeTrie(util::BytesView encoded);
 
 // --- FSM internals, exposed for tests and benchmarks ---------------------
 

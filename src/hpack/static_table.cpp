@@ -187,20 +187,4 @@ std::size_t StaticTableFindName(std::string_view name) {
   return kStaticTable[index - 1].name == name ? index : 0;
 }
 
-std::size_t StaticTableFindLinear(std::string_view name, std::string_view value) {
-  for (std::size_t i = 0; i < kStaticTable.size(); ++i) {
-    if (kStaticTable[i].name == name && kStaticTable[i].value == value) {
-      return i + 1;
-    }
-  }
-  return 0;
-}
-
-std::size_t StaticTableFindNameLinear(std::string_view name) {
-  for (std::size_t i = 0; i < kStaticTable.size(); ++i) {
-    if (kStaticTable[i].name == name) return i + 1;
-  }
-  return 0;
-}
-
 }  // namespace sww::hpack

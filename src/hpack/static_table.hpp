@@ -5,8 +5,9 @@
 // match and name-only match.  Both run through constexpr-built perfect
 // hash tables (a seed found at compile time maps all entries to distinct
 // slots), so a lookup is one hash, one slot load, and one verifying
-// compare — O(1) instead of a 61-entry scan per header field.  The linear
-// scans survive as *Linear oracles for the differential test suite.
+// compare — O(1) instead of a 61-entry scan per header field.  The
+// linear scans they replaced are the differential suite's oracles
+// (tests/oracles/hpack.hpp).
 #pragma once
 
 #include <cstddef>
@@ -33,10 +34,5 @@ std::size_t StaticTableFind(std::string_view name, std::string_view value);
 
 /// Wire index (1-based) of the first entry whose name matches, or 0.
 std::size_t StaticTableFindName(std::string_view name);
-
-/// Reference implementations (linear scans over the RFC table) — oracles
-/// for the perfect-hash fast lanes, used by tests and benchmarks only.
-std::size_t StaticTableFindLinear(std::string_view name, std::string_view value);
-std::size_t StaticTableFindNameLinear(std::string_view name);
 
 }  // namespace sww::hpack

@@ -289,8 +289,4 @@ Result<std::unique_ptr<Node>> ParseDocument(std::string_view html) {
   return TreeBuilder().Build(html);
 }
 
-Result<std::unique_ptr<Node>> ParseFragment(std::string_view html) {
-  return TreeBuilder().Build(html);
-}
-
 }  // namespace sww::html

@@ -21,7 +21,4 @@ namespace sww::html {
 /// beyond the depth limit).
 util::Result<std::unique_ptr<Node>> ParseDocument(std::string_view html);
 
-/// Parse a fragment: children are appended under a synthetic document node.
-util::Result<std::unique_ptr<Node>> ParseFragment(std::string_view html);
-
 }  // namespace sww::html

@@ -140,13 +140,6 @@ void Connection::TapHeaders(obs::TapDirection direction,
                  stream_id, std::move(details));
 }
 
-Bytes Connection::TakeOutput() {
-  const BytesView view = output_.View();
-  Bytes out(view.begin(), view.end());
-  output_.Clear();
-  return out;
-}
-
 std::vector<Connection::Event> Connection::TakeEvents() {
   std::vector<Event> out = std::move(events_);
   events_.clear();
@@ -439,6 +432,10 @@ Status Connection::HandleHeaders(const Frame& frame) {
   }
 
   header_block_ = std::move(block).value();
+  if (header_block_.size() > kMaxHeaderBlockBytes) {
+    return ConnectionError(ErrorCode::kEnhanceYourCalm,
+                           "header block too large");
+  }
   assembling_stream_id_ = stream_id;
   assembling_end_stream_ = frame.header.HasFlag(kFlagEndStream);
   if (frame.header.HasFlag(kFlagEndHeaders)) {
@@ -456,6 +453,10 @@ Status Connection::HandleContinuation(const Frame& frame) {
   if (frame.header.stream_id != assembling_stream_id_) {
     return ConnectionError(ErrorCode::kProtocolError,
                            "CONTINUATION on wrong stream");
+  }
+  if (header_block_.size() + frame.payload.size() > kMaxHeaderBlockBytes) {
+    return ConnectionError(ErrorCode::kEnhanceYourCalm,
+                           "header block too large");
   }
   header_block_.insert(header_block_.end(), frame.payload.begin(),
                        frame.payload.end());
@@ -557,7 +558,7 @@ void Connection::MaybeReplenishWindows(Stream* stream, std::size_t consumed) {
   // peer that shrank INITIAL_WINDOW_SIZE below the threshold deadlocks
   // waiting for an update that never comes.
   const std::size_t stream_threshold = std::min<std::size_t>(
-      options_.window_update_threshold,
+      kWindowUpdateThreshold,
       std::max<std::uint32_t>(1u, local_settings_.initial_window_size() / 2));
   // WINDOW_UPDATE payloads are 4 bytes; build them on the stack and go
   // straight through the zero-copy lane.
@@ -570,7 +571,7 @@ void Connection::MaybeReplenishWindows(Stream* stream, std::size_t consumed) {
     EnqueueFrameRef(FrameType::kWindowUpdate, 0, on_stream,
                     BytesView(payload, sizeof(payload)));
   };
-  if (connection_consumed_ >= options_.window_update_threshold) {
+  if (connection_consumed_ >= kWindowUpdateThreshold) {
     enqueue_window_update(0, static_cast<std::uint32_t>(connection_consumed_));
     (void)connection_recv_window_.Widen(
         static_cast<std::int64_t>(connection_consumed_));

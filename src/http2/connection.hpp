@@ -1,8 +1,9 @@
 // connection.hpp — the HTTP/2 connection state machine (RFC 9113).
 //
 // Sans-IO design: the Connection never touches a socket.  Transport bytes
-// are pushed in with Receive(); bytes to write are drained with
-// TakeOutput(); protocol happenings surface as Events.  This keeps the
+// are pushed in with Receive(); bytes to write are borrowed with
+// OutputView() and released with ClearOutput(); protocol happenings
+// surface as Events.  This keeps the
 // whole protocol engine deterministic and unit-testable — two Connections
 // can be wired back-to-back in memory — while the net:: layer pumps real
 // sockets.
@@ -68,10 +69,15 @@ class Connection {
 
   struct Options {
     Settings local_settings;
-    /// Automatically replenish receive flow-control windows (send
-    /// WINDOW_UPDATE) once this many bytes have been consumed.
-    std::uint32_t window_update_threshold = 32768;
   };
+
+  /// Receive flow-control windows are replenished (WINDOW_UPDATE sent)
+  /// once this many bytes have been consumed.
+  static constexpr std::uint32_t kWindowUpdateThreshold = 32768;
+  /// Largest header block (HEADERS + CONTINUATION fragments) assembled
+  /// before decoding.  A peer that sends more without END_HEADERS gets
+  /// GOAWAY ENHANCE_YOUR_CALM, so it cannot grow the buffer without bound.
+  static constexpr std::size_t kMaxHeaderBlockBytes = 64 * 1024;
 
   struct Event {
     enum class Type {
@@ -105,11 +111,8 @@ class Connection {
   /// output buffer and the connection is dead.
   util::Status Receive(util::BytesView bytes);
 
-  /// Drain bytes that must be written to the transport (copying).  The
-  /// zero-copy pair below is preferred on hot paths: view, write, clear.
-  util::Bytes TakeOutput();
-  /// Borrow the pending output without copying.  Valid until the next
-  /// Enqueue/Submit/Receive call or ClearOutput().
+  /// Borrow the bytes that must be written to the transport.  Valid until
+  /// the next Enqueue/Submit/Receive call or ClearOutput().
   util::BytesView OutputView() const { return output_.View(); }
   /// Mark the borrowed output as written; keeps the arena's storage for
   /// reuse, so steady-state serialization allocates nothing.

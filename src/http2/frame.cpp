@@ -25,13 +25,6 @@ const char* FrameTypeName(FrameType type) {
   return "UNKNOWN";
 }
 
-void WriteFrameHeader(const FrameHeader& header, ByteWriter& writer) {
-  writer.WriteU24(header.length);
-  writer.WriteU8(static_cast<std::uint8_t>(header.type));
-  writer.WriteU8(header.flags);
-  writer.WriteU32(header.stream_id & 0x7fffffffu);
-}
-
 Result<FrameHeader> ParseFrameHeader(BytesView bytes) {
   if (bytes.size() < kFrameHeaderSize) {
     return Error(util::ErrorCode::kTruncated, "frame header needs 9 bytes");
@@ -45,43 +38,12 @@ Result<FrameHeader> ParseFrameHeader(BytesView bytes) {
   return header;
 }
 
-Bytes SerializeFrame(const Frame& frame) {
-  ByteWriter writer(kFrameHeaderSize + frame.payload.size());
-  FrameHeader header = frame.header;
-  header.length = static_cast<std::uint32_t>(frame.payload.size());
-  WriteFrameHeader(header, writer);
-  writer.WriteBytes(frame.payload);
-  return std::move(writer).TakeBytes();
-}
-
 void AppendFrame(const FrameRef& frame, util::BytesArena& out) {
   out.AppendU24(static_cast<std::uint32_t>(frame.payload.size()));
   out.AppendU8(static_cast<std::uint8_t>(frame.header.type));
   out.AppendU8(frame.header.flags);
   out.AppendU32(frame.header.stream_id & 0x7fffffffu);
   out.Append(frame.payload);
-}
-
-Frame MakeDataFrame(std::uint32_t stream_id, BytesView data, bool end_stream) {
-  Frame frame;
-  frame.header.type = FrameType::kData;
-  frame.header.stream_id = stream_id;
-  frame.header.flags = end_stream ? kFlagEndStream : 0;
-  frame.payload.assign(data.begin(), data.end());
-  return frame;
-}
-
-Frame MakePriorityFrame(std::uint32_t stream_id, const PriorityPayload& priority) {
-  Frame frame;
-  frame.header.type = FrameType::kPriority;
-  frame.header.stream_id = stream_id;
-  ByteWriter writer(5);
-  std::uint32_t dep = priority.dependency & 0x7fffffffu;
-  if (priority.exclusive) dep |= 0x80000000u;
-  writer.WriteU32(dep);
-  writer.WriteU8(priority.weight);
-  frame.payload = std::move(writer).TakeBytes();
-  return frame;
 }
 
 Frame MakeRstStreamFrame(std::uint32_t stream_id, ErrorCode error) {
@@ -107,14 +69,6 @@ Frame MakeSettingsFrame(const std::vector<SettingsEntry>& entries) {
   return frame;
 }
 
-Frame MakeSettingsAckFrame() {
-  Frame frame;
-  frame.header.type = FrameType::kSettings;
-  frame.header.stream_id = 0;
-  frame.header.flags = kFlagAck;
-  return frame;
-}
-
 Frame MakePingFrame(std::uint64_t opaque, bool ack) {
   Frame frame;
   frame.header.type = FrameType::kPing;
@@ -135,16 +89,6 @@ Frame MakeGoawayFrame(std::uint32_t last_stream_id, ErrorCode error,
   writer.WriteU32(last_stream_id & 0x7fffffffu);
   writer.WriteU32(static_cast<std::uint32_t>(error));
   writer.WriteString(debug_data);
-  frame.payload = std::move(writer).TakeBytes();
-  return frame;
-}
-
-Frame MakeWindowUpdateFrame(std::uint32_t stream_id, std::uint32_t increment) {
-  Frame frame;
-  frame.header.type = FrameType::kWindowUpdate;
-  frame.header.stream_id = stream_id;
-  ByteWriter writer(4);
-  writer.WriteU32(increment & 0x7fffffffu);
   frame.payload = std::move(writer).TakeBytes();
   return frame;
 }

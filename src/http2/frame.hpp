@@ -2,9 +2,10 @@
 //
 // Every frame is a 9-octet header (24-bit length, 8-bit type, 8-bit flags,
 // 31-bit stream id) followed by a payload.  This module provides the generic
-// header codec, typed payload parsers/builders for each of the ten frame
-// types, and an incremental FrameParser that reassembles frames from an
-// arbitrary byte stream.
+// header parser, the arena serializer (AppendFrame), builders for the
+// frames the connection sends as whole Frames, typed payload parsers, and
+// an incremental FrameParser that reassembles frames from an arbitrary
+// byte stream.
 #pragma once
 
 #include <cstdint>
@@ -68,14 +69,8 @@ struct Frame {
   util::Bytes payload;
 };
 
-/// Serialize a frame header (9 bytes) into a writer.
-void WriteFrameHeader(const FrameHeader& header, util::ByteWriter& writer);
-
 /// Parse a frame header from exactly 9 bytes.
 util::Result<FrameHeader> ParseFrameHeader(util::BytesView bytes);
-
-/// Serialize a full frame.
-util::Bytes SerializeFrame(const Frame& frame);
 
 /// A frame over borrowed payload bytes — the zero-copy counterpart of
 /// Frame.  The payload view must outlive the serialization call (it is
@@ -110,16 +105,14 @@ struct GoawayPayload {
   std::string debug_data;
 };
 
-/// Builders — produce fully-formed frames ready to serialize.
-Frame MakeDataFrame(std::uint32_t stream_id, util::BytesView data, bool end_stream);
-Frame MakePriorityFrame(std::uint32_t stream_id, const PriorityPayload& priority);
+/// Builders for the frames the connection sends whole.  DATA, HEADERS,
+/// CONTINUATION, WINDOW_UPDATE and the SETTINGS ACK go straight through
+/// AppendFrame.
 Frame MakeRstStreamFrame(std::uint32_t stream_id, ErrorCode error);
 Frame MakeSettingsFrame(const std::vector<SettingsEntry>& entries);
-Frame MakeSettingsAckFrame();
 Frame MakePingFrame(std::uint64_t opaque, bool ack);
 Frame MakeGoawayFrame(std::uint32_t last_stream_id, ErrorCode error,
                       std::string_view debug_data);
-Frame MakeWindowUpdateFrame(std::uint32_t stream_id, std::uint32_t increment);
 
 /// Typed parsers — validate payload lengths and reserved bits.
 util::Result<std::vector<SettingsEntry>> ParseSettingsPayload(const Frame& frame);

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/strings.hpp"
+
 namespace sww::json {
 
 using util::Error;
@@ -98,28 +100,7 @@ Value& Value::Set(std::string key, Value value) {
 std::string EscapeString(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
-  out.push_back('"');
-  for (char raw : text) {
-    unsigned char c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(raw);
-        }
-    }
-  }
-  out.push_back('"');
+  util::AppendJsonString(out, text);
   return out;
 }
 

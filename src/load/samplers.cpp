@@ -5,31 +5,6 @@
 
 namespace sww::load {
 
-ZipfSampler::ZipfSampler(std::size_t item_count, double exponent)
-    : exponent_(exponent) {
-  if (item_count == 0) item_count = 1;
-  cdf_.resize(item_count);
-  double total = 0.0;
-  for (std::size_t k = 0; k < item_count; ++k) {
-    total += 1.0 / std::pow(static_cast<double>(k + 1), exponent_);
-    cdf_[k] = total;
-  }
-  for (double& value : cdf_) value /= total;
-  cdf_.back() = 1.0;  // guard against accumulated rounding
-}
-
-std::size_t ZipfSampler::Sample(double u) const {
-  if (u <= 0.0) return 0;
-  if (u >= 1.0) return cdf_.size() - 1;
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
-}
-
-double ZipfSampler::Probability(std::size_t rank) const {
-  if (rank >= cdf_.size()) return 0.0;
-  return rank == 0 ? cdf_[0] : cdf_[rank] - cdf_[rank - 1];
-}
-
 double ArrivalCurve::RateAt(double t) const {
   double rate = base_rps;
   if (diurnal_amplitude > 0.0 && diurnal_period_seconds > 0.0) {

@@ -29,7 +29,7 @@ namespace sww::load {
 /// values: changing one reshuffles every golden trace downstream.
 enum class DrawStream : std::uint64_t {
   kArrivalJitter = 1,  ///< position of arrival i inside its quantile slot
-  kPage = 2,           ///< Zipf page draw
+  kPage = 2,           ///< Zipf page draw (cdn::Catalog popularity CDF)
   kClass = 3,          ///< client-class mix draw
   kNetworkJitter = 4,  ///< per-request wire time wobble
   kError = 5,          ///< request failure draw
@@ -49,26 +49,6 @@ inline std::uint64_t DrawU64(std::uint64_t seed, std::uint64_t index,
   return util::CounterHash(seed, index,
                            static_cast<std::uint64_t>(stream));
 }
-
-/// Zipf(s) popularity over `item_count` ranks: P(k) ∝ 1/(k+1)^s.  The CDF
-/// is precomputed once; Sample inverts a uniform draw by binary search, so
-/// concurrent samplers share one immutable table.
-class ZipfSampler {
- public:
-  ZipfSampler(std::size_t item_count, double exponent);
-
-  /// Rank for uniform u in [0, 1); u outside clamps to the extreme ranks.
-  std::size_t Sample(double u) const;
-
-  std::size_t item_count() const { return cdf_.size(); }
-  double exponent() const { return exponent_; }
-  /// P(rank) — exposed for the chi-square sanity tests.
-  double Probability(std::size_t rank) const;
-
- private:
-  double exponent_;
-  std::vector<double> cdf_;  ///< cumulative, cdf_.back() == 1.0
-};
 
 /// One flash-crowd burst: the arrival rate multiplies by `multiplier`
 /// inside [start, start + duration).

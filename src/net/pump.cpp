@@ -79,16 +79,6 @@ Result<PumpResult> PumpOnce(http2::Connection& connection, Transport& transport)
   return result;
 }
 
-Status PumpUntilQuiet(http2::Connection& connection, Transport& transport,
-                      int max_rounds) {
-  for (int round = 0; round < max_rounds; ++round) {
-    auto result = PumpOnce(connection, transport);
-    if (!result) return result.error();
-    if (!result.value().made_progress) return Status::Ok();
-  }
-  return Status::Ok();
-}
-
 void DirectLinkExchange(http2::Connection& a, http2::Connection& b,
                         int max_rounds) {
   for (int round = 0; round < max_rounds; ++round) {

@@ -23,11 +23,6 @@ struct PumpResult {
 util::Result<PumpResult> PumpOnce(http2::Connection& connection,
                                   Transport& transport);
 
-/// Pump until the connection has no pending output and the transport has no
-/// pending input, or `max_rounds` is hit (guards against livelock).
-util::Status PumpUntilQuiet(http2::Connection& connection, Transport& transport,
-                            int max_rounds = 64);
-
 /// Shuttle bytes directly between two in-process connections until both are
 /// quiescent.  This is the deterministic harness used by protocol tests.
 void DirectLinkExchange(http2::Connection& a, http2::Connection& b,

@@ -102,9 +102,8 @@ Result<std::unique_ptr<ReactorServer>> ReactorServer::Start(
   server->factory_ = std::move(factory);
   server->options_ = std::move(options);
 
-  TcpListener::Options listener_options = server->options_.listener;
-  listener_options.reuse_port = true;   // all shards share the port
-  listener_options.non_blocking = true; // reactor accept loops drain to EAGAIN
+  TcpListener::Options listener_options;
+  listener_options.reuse_port = true;  // all shards share the port
 
   std::uint16_t port = server->options_.port;
   for (int i = 0; i < shard_count; ++i) {

@@ -67,9 +67,6 @@ class ReactorServer {
     /// Accept shards (reactors).  <= 0 sizes to hardware_concurrency,
     /// capped at 8.
     int shards = 0;
-    /// Listener knobs stamped onto every shard's socket.  reuse_port and
-    /// non_blocking are forced on; backlog/tuning are honored.
-    TcpListener::Options listener;
     /// Close connections with no inbound traffic for this long.  0
     /// disables.  Lazy: one wheel timer per connection, re-armed against
     /// the last-activity stamp when it fires early.

@@ -181,16 +181,13 @@ Result<std::unique_ptr<TcpListener>> TcpListener::Bind(std::uint16_t port) {
 
 Result<std::unique_ptr<TcpListener>> TcpListener::Bind(std::uint16_t port,
                                                        const Options& options) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) {
     return Error(ErrorCode::kIo, std::string("socket: ") + ::strerror(errno));
   }
-  if (options.reuse_addr) {
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  }
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   if (options.reuse_port) {
-    int one = 1;
     if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) < 0) {
       ::close(fd);
       return Error(ErrorCode::kIo,
@@ -202,15 +199,9 @@ Result<std::unique_ptr<TcpListener>> TcpListener::Bind(std::uint16_t port,
     ::close(fd);
     return Error(ErrorCode::kIo, std::string("bind: ") + ::strerror(errno));
   }
-  if (::listen(fd, options.backlog) < 0) {
+  if (::listen(fd, kBacklog) < 0) {
     ::close(fd);
     return Error(ErrorCode::kIo, std::string("listen: ") + ::strerror(errno));
-  }
-  if (options.non_blocking) {
-    if (auto status = SetNonBlocking(fd); !status.ok()) {
-      ::close(fd);
-      return status.error();
-    }
   }
   socklen_t len = sizeof(addr);
   if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) < 0) {
@@ -219,25 +210,6 @@ Result<std::unique_ptr<TcpListener>> TcpListener::Bind(std::uint16_t port,
   }
   return std::unique_ptr<TcpListener>(
       new TcpListener(fd, ntohs(addr.sin_port), options));
-}
-
-Result<std::unique_ptr<Transport>> TcpListener::Accept(int timeout_ms) {
-  struct pollfd pfd{fd_, POLLIN, 0};
-  const int ready = ::poll(&pfd, 1, timeout_ms);
-  if (ready < 0) {
-    return Error(ErrorCode::kIo, std::string("poll: ") + ::strerror(errno));
-  }
-  if (ready == 0) {
-    return Error(ErrorCode::kIo, "accept timed out");
-  }
-  auto client = AcceptFd();
-  if (!client.ok()) return client.error();
-  if (client.value() < 0) {
-    // Raced with another accepter (SO_REUSEPORT sibling or thread).
-    return Error(ErrorCode::kIo, "accept timed out");
-  }
-  return std::unique_ptr<Transport>(
-      std::make_unique<TcpTransport>(client.value()));
 }
 
 Result<int> TcpListener::AcceptFd() {

@@ -3,7 +3,9 @@
 // Used by the examples, integration tests, and the epoll reactor to run
 // the generative server and client as genuinely separate endpoints over
 // the kernel's TCP stack.  Sockets are always non-blocking; Read drains
-// whatever the kernel has buffered, Write honors a caller-set deadline.
+// whatever the kernel has buffered, Write honors a caller-set deadline,
+// and a listener hands out connections only through AcceptFd, which the
+// reactor calls when the listening fd turns readable.
 #pragma once
 
 #include <cstdint>
@@ -59,23 +61,20 @@ class TcpTransport final : public Transport {
   int write_timeout_ms_ = 5000;
 };
 
-/// Listening socket bound to 127.0.0.1.  Port 0 picks a free port.
+/// Non-blocking listening socket bound to 127.0.0.1.  Port 0 picks a free
+/// port.  Always SO_REUSEADDR (restarting on a fixed port does not fight
+/// TIME_WAIT) with an accept queue of kBacklog.
 class TcpListener {
  public:
+  /// Kernel accept-queue depth.  A depth of 16 dropped SYNs under
+  /// telemetry soak runs with many concurrent scrapers.
+  static constexpr int kBacklog = 256;
+
   struct Options {
-    /// Kernel accept-queue depth.  The old hard-coded 16 dropped SYNs
-    /// under telemetry soak runs with many concurrent scrapers.
-    int backlog = 256;
-    /// SO_REUSEADDR before bind, so restarting a soak on a fixed port
-    /// does not fight TIME_WAIT.
-    bool reuse_addr = true;
     /// SO_REUSEPORT before bind: several listeners share one port and
     /// the kernel load-balances incoming connections across them — the
     /// sharded-accept primitive the reactor server is built on.
     bool reuse_port = false;
-    /// Make the listening fd itself non-blocking (reactor accept loops
-    /// drain until EAGAIN instead of parking in poll()).
-    bool non_blocking = false;
     /// Tuning stamped onto every socket this listener accepts.
     SocketTuning tuning;
   };
@@ -92,12 +91,9 @@ class TcpListener {
   int fd() const { return fd_; }
   const Options& options() const { return options_; }
 
-  /// Accept one connection, blocking up to `timeout_ms` (-1 = forever).
-  util::Result<std::unique_ptr<Transport>> Accept(int timeout_ms = -1);
-
-  /// Non-blocking accept for reactor loops: returns a connected,
-  /// non-blocking, tuned fd; -1 when no connection is pending (EAGAIN —
-  /// not an error, just an empty queue); Error on real failures.
+  /// Accept one pending connection: returns a connected, non-blocking,
+  /// tuned fd; -1 when no connection is pending (EAGAIN — not an error,
+  /// just an empty queue); Error on real failures.
   util::Result<int> AcceptFd();
 
  private:

@@ -1,9 +1,11 @@
 // transport.hpp — byte transport abstraction under the HTTP/2 engine.
 //
-// The Connection is sans-IO; a Transport moves its bytes.  Two concrete
+// The Connection is sans-IO; a Transport moves its bytes.  Three concrete
 // implementations exist: an in-memory duplex pair (deterministic tests and
-// benchmarks) and loopback TCP (integration tests and the examples).  Both
-// are non-blocking: Read returns whatever is available, possibly nothing.
+// benchmarks), loopback TCP (tcp.hpp: integration tests, the examples and
+// the tools) and ReliableLink (reliable_link.hpp: an ordered stream over a
+// lossy datagram channel, standing in for QUIC).  All are non-blocking:
+// Read returns whatever is available, possibly nothing.
 #pragma once
 
 #include <memory>

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/strings.hpp"
+
 namespace sww::util {
 
 namespace {
@@ -23,34 +25,6 @@ std::uint64_t MonotonicNanos() {
           .count());
 }
 
-char ToLowerAscii(char c) { return c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c; }
-
-// Minimal JSON string escaping (util cannot link src/json).  Control
-// bytes use \u00XX; the output is valid RFC 8259 for any input bytes
-// that are valid UTF-8 (and never corrupts the line otherwise).
-void AppendJsonEscaped(std::string& out, std::string_view text) {
-  out += '"';
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 }  // namespace
 
 const char* LogLevelName(LogLevel level) {
@@ -64,9 +38,7 @@ const char* LogLevelName(LogLevel level) {
 }
 
 std::optional<LogLevel> ParseLogLevel(std::string_view name) {
-  std::string lower;
-  lower.reserve(name.size());
-  for (char c : name) lower.push_back(ToLowerAscii(c));
+  const std::string lower = ToLower(name);
   if (lower == "debug") return LogLevel::kDebug;
   if (lower == "info") return LogLevel::kInfo;
   if (lower == "warn" || lower == "warning") return LogLevel::kWarn;
@@ -84,9 +56,9 @@ std::string FormatLogJson(double elapsed_seconds, LogLevel level,
   line += ",\"level\":\"";
   line += LogLevelName(level);
   line += "\",\"component\":";
-  AppendJsonEscaped(line, component);
+  AppendJsonString(line, component);
   line += ",\"message\":";
-  AppendJsonEscaped(line, message);
+  AppendJsonString(line, message);
   line += '}';
   return line;
 }
@@ -99,9 +71,7 @@ Logger::Logger() {
     }
   }
   if (const char* env = std::getenv("SWW_LOG_FORMAT"); env != nullptr) {
-    std::string lower;
-    for (const char* p = env; *p != '\0'; ++p) lower.push_back(ToLowerAscii(*p));
-    if (lower == "json") SetFormat(LogFormat::kJson);
+    if (ToLower(env) == "json") SetFormat(LogFormat::kJson);
   }
   sink_ = [this](LogLevel level, std::string_view component,
                  std::string_view message) {

@@ -42,8 +42,35 @@ std::string_view Trim(std::string_view text) {
 
 std::string ToLower(std::string_view text) {
   std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
   return out;
+}
+
+void AppendJsonString(std::string& out, std::string_view text) {
+  out.push_back('"');
+  for (char raw : text) {
+    const unsigned char c = static_cast<unsigned char>(raw);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(raw);
+        }
+    }
+  }
+  out.push_back('"');
 }
 
 bool StartsWith(std::string_view text, std::string_view prefix) {

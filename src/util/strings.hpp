@@ -17,8 +17,14 @@ std::vector<std::string> SplitWhitespace(std::string_view text);
 /// Trim ASCII whitespace from both ends.
 std::string_view Trim(std::string_view text);
 
-/// ASCII lowercase copy.
+/// ASCII lowercase copy (locale-independent).
 std::string ToLower(std::string_view text);
+
+/// Append `text` to `out` as a quoted RFC 8259 string: quote, backslash
+/// and the \b \f \n \r \t controls in short form, other control bytes
+/// as \u00XX, everything else verbatim.  The one JSON string escaper:
+/// json::EscapeString and the logger's JSON lines both use it.
+void AppendJsonString(std::string& out, std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);

@@ -10,6 +10,7 @@
 #include "html/parser.hpp"
 #include "net/pump.hpp"
 #include "net/tcp.hpp"
+#include "oracles/net.hpp"
 
 namespace sww::core {
 namespace {
@@ -276,7 +277,7 @@ TEST(Session, FullFlowOverLoopbackTcp) {
   const std::uint16_t port = listener.value()->port();
 
   std::thread server_thread([&] {
-    auto transport = listener.value()->Accept(5000);
+    auto transport = oracles::AcceptWithin(*listener.value(), 5000);
     ASSERT_TRUE(transport.ok());
     auto server = GenerativeServer::Create(&store, {});
     ASSERT_TRUE(server.ok());

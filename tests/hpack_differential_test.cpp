@@ -2,11 +2,11 @@
 // wire-path fast lanes.
 //
 // Every fast lane introduced for performance keeps its original, simple
-// implementation as an oracle:
+// implementation as an oracle (tests/oracles/ unless noted):
 //   * Huffman FSM decoder        vs the bit-at-a-time trie walk
 //   * wide-accumulator encoder   vs a per-byte reference encoder (in-test)
 //   * static-table perfect hash  vs the linear scan over RFC 7541 App. A
-//   * ring-buffer dynamic table  vs a deque-of-entries reference model
+//   * ring-buffer dynamic table  vs a deque-of-entries reference model (in-test)
 //   * arena frame serialization  vs SerializeFrame
 // The suites drive each pair with thousands of seeded random inputs —
 // valid, corrupted, and truncated — and require byte-identical results.
@@ -21,6 +21,8 @@
 #include "hpack/huffman.hpp"
 #include "hpack/static_table.hpp"
 #include "http2/frame.hpp"
+#include "oracles/hpack.hpp"
+#include "oracles/http2.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -93,7 +95,7 @@ TEST(HuffmanDifferential, FsmMatchesTrieOnRandomValidInput) {
     Bytes encoded;
     hpack::HuffmanEncode(text, encoded);
     auto fsm = hpack::HuffmanDecode(encoded);
-    auto trie = hpack::HuffmanDecodeTrie(encoded);
+    auto trie = oracles::HuffmanDecodeTrie(encoded);
     ASSERT_TRUE(fsm.ok()) << "iteration " << i;
     ASSERT_TRUE(trie.ok()) << "iteration " << i;
     ASSERT_EQ(fsm.value(), text) << "iteration " << i;
@@ -110,7 +112,7 @@ TEST(HuffmanDifferential, FsmMatchesTrieOnRandomCorruptedInput) {
     Bytes blob(rng.NextIndex(48), 0);
     for (auto& b : blob) b = static_cast<std::uint8_t>(rng.NextBounded(256));
     auto fsm = hpack::HuffmanDecode(blob);
-    auto trie = hpack::HuffmanDecodeTrie(blob);
+    auto trie = oracles::HuffmanDecodeTrie(blob);
     ASSERT_EQ(fsm.ok(), trie.ok()) << "iteration " << i;
     if (fsm.ok()) {
       ASSERT_EQ(fsm.value(), trie.value()) << "iteration " << i;
@@ -132,7 +134,7 @@ TEST(HuffmanDifferential, FsmMatchesTrieOnTruncatedValidInput) {
     const std::size_t cut = rng.NextIndex(encoded.size());
     const BytesView prefix(encoded.data(), cut);
     auto fsm = hpack::HuffmanDecode(prefix);
-    auto trie = hpack::HuffmanDecodeTrie(prefix);
+    auto trie = oracles::HuffmanDecodeTrie(prefix);
     ASSERT_EQ(fsm.ok(), trie.ok()) << "iteration " << i;
     if (fsm.ok()) {
       ASSERT_EQ(fsm.value(), trie.value()) << "iteration " << i;
@@ -146,7 +148,7 @@ TEST(HuffmanDifferential, ExplicitEosRejectedByBothDecoders) {
   // EOS is 30 ones followed by 2 more padding ones: 0xff 0xff 0xff 0xff.
   const Bytes eos = {0xff, 0xff, 0xff, 0xff};
   auto fsm = hpack::HuffmanDecode(eos);
-  auto trie = hpack::HuffmanDecodeTrie(eos);
+  auto trie = oracles::HuffmanDecodeTrie(eos);
   ASSERT_FALSE(fsm.ok());
   ASSERT_FALSE(trie.ok());
   EXPECT_EQ(fsm.error().message, trie.error().message);
@@ -161,7 +163,7 @@ TEST(HuffmanDifferential, OverlongPaddingRejectedByBothDecoders) {
   ASSERT_EQ(encoded.size(), 1u);
   encoded.push_back(0xff);
   auto fsm = hpack::HuffmanDecode(encoded);
-  auto trie = hpack::HuffmanDecodeTrie(encoded);
+  auto trie = oracles::HuffmanDecodeTrie(encoded);
   ASSERT_FALSE(fsm.ok());
   ASSERT_FALSE(trie.ok());
   EXPECT_EQ(fsm.error().message, trie.error().message);
@@ -172,7 +174,7 @@ TEST(HuffmanDifferential, NonOnesPaddingRejectedByBothDecoders) {
   // 'a' = 00011; zero padding to the byte boundary is not an EOS prefix.
   const Bytes encoded = {0x18};  // 00011000
   auto fsm = hpack::HuffmanDecode(encoded);
-  auto trie = hpack::HuffmanDecodeTrie(encoded);
+  auto trie = oracles::HuffmanDecodeTrie(encoded);
   ASSERT_FALSE(fsm.ok());
   ASSERT_FALSE(trie.ok());
   EXPECT_EQ(fsm.error().message, trie.error().message);
@@ -212,15 +214,15 @@ TEST(StaticTableDifferential, PerfectHashMatchesLinearOnAllEntries) {
     const std::string name(entry.value().name);
     const std::string value(entry.value().value);
     EXPECT_EQ(hpack::StaticTableFind(name, value),
-              hpack::StaticTableFindLinear(name, value))
+              oracles::StaticTableFindLinear(name, value))
         << name << ": " << value;
     EXPECT_EQ(hpack::StaticTableFindName(name),
-              hpack::StaticTableFindNameLinear(name))
+              oracles::StaticTableFindNameLinear(name))
         << name;
     // The linear scan is ground truth for which of the duplicate-name
     // entries is addressable (the first one).
     EXPECT_EQ(hpack::StaticTableFindName(name),
-              hpack::StaticTableFindNameLinear(name));
+              oracles::StaticTableFindNameLinear(name));
   }
 }
 
@@ -235,19 +237,19 @@ TEST(StaticTableDifferential, PerfectHashMatchesLinearOnNearMisses) {
     // changed value, flipped character, extended name, truncated name.
     const std::string wrong_value = value + "x";
     EXPECT_EQ(hpack::StaticTableFind(name, wrong_value),
-              hpack::StaticTableFindLinear(name, wrong_value));
+              oracles::StaticTableFindLinear(name, wrong_value));
     std::string flipped = name;
     flipped[rng.NextIndex(flipped.size())] ^= 0x20;
     EXPECT_EQ(hpack::StaticTableFind(flipped, value),
-              hpack::StaticTableFindLinear(flipped, value));
+              oracles::StaticTableFindLinear(flipped, value));
     EXPECT_EQ(hpack::StaticTableFindName(flipped),
-              hpack::StaticTableFindNameLinear(flipped));
+              oracles::StaticTableFindNameLinear(flipped));
     const std::string extended = name + "-x";
     EXPECT_EQ(hpack::StaticTableFindName(extended),
-              hpack::StaticTableFindNameLinear(extended));
+              oracles::StaticTableFindNameLinear(extended));
     const std::string truncated = name.substr(0, name.size() - 1);
     EXPECT_EQ(hpack::StaticTableFindName(truncated),
-              hpack::StaticTableFindNameLinear(truncated));
+              oracles::StaticTableFindNameLinear(truncated));
   }
 }
 
@@ -257,10 +259,10 @@ TEST(StaticTableDifferential, PerfectHashMatchesLinearOnRandomProbes) {
     const std::string name = RandomString(rng, 24);
     const std::string value = RandomString(rng, 24);
     ASSERT_EQ(hpack::StaticTableFind(name, value),
-              hpack::StaticTableFindLinear(name, value))
+              oracles::StaticTableFindLinear(name, value))
         << "iteration " << i;
     ASSERT_EQ(hpack::StaticTableFindName(name),
-              hpack::StaticTableFindNameLinear(name))
+              oracles::StaticTableFindNameLinear(name))
         << "iteration " << i;
   }
 }
@@ -389,7 +391,7 @@ TEST(FrameDifferential, AppendFrameMatchesSerializeFrame) {
     for (auto& b : frame.payload) {
       b = static_cast<std::uint8_t>(rng.NextBounded(256));
     }
-    const Bytes expected = http2::SerializeFrame(frame);
+    const Bytes expected = oracles::SerializeFrame(frame);
 
     arena.Clear();
     http2::FrameRef ref;

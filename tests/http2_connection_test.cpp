@@ -8,11 +8,15 @@
 
 #include "http2/connection.hpp"
 #include "net/pump.hpp"
+#include "oracles/http2.hpp"
 #include "util/bytes.hpp"
 
 namespace sww::http2 {
 namespace {
 
+using oracles::MakeDataFrame;
+using oracles::SerializeFrame;
+using oracles::TakeOutput;
 using util::Bytes;
 using util::ToBytes;
 
@@ -433,7 +437,7 @@ TEST(Connection, OutputViewMatchesTakeOutput) {
   const util::BytesView view = pair.client.OutputView();
   const Bytes copied(view.begin(), view.end());
   // TakeOutput must return exactly the viewed bytes, then both are drained.
-  EXPECT_EQ(pair.client.TakeOutput(), copied);
+  EXPECT_EQ(TakeOutput(pair.client), copied);
   EXPECT_FALSE(pair.client.HasOutput());
   EXPECT_TRUE(pair.client.OutputView().empty());
 }
@@ -444,7 +448,7 @@ TEST(Connection, ClearOutputDrainsWithoutCopy) {
   ASSERT_TRUE(pair.client.HasOutput());
   pair.client.ClearOutput();
   EXPECT_FALSE(pair.client.HasOutput());
-  EXPECT_EQ(pair.client.TakeOutput(), Bytes{});
+  EXPECT_EQ(TakeOutput(pair.client), Bytes{});
 }
 
 TEST(Connection, SteadyStateRequestsStopAllocatingOutput) {
@@ -507,8 +511,8 @@ std::vector<Frame> ParseFrames(util::BytesView wire) {
 /// Move the client's pending output into the server; return what the
 /// server queued in answer (and drain it).
 Bytes DeliverToServer(Pair& pair, util::Status& status) {
-  status = pair.server.Receive(pair.client.TakeOutput());
-  return pair.server.TakeOutput();
+  status = pair.server.Receive(TakeOutput(pair.client));
+  return TakeOutput(pair.server);
 }
 
 const hpack::HeaderList kGet = {{":method", "GET", false},
@@ -645,7 +649,7 @@ TEST(ConnectionStreams, DataOnStreamTheReceiverResetGetsStreamClosed) {
   // The server resets stream 1; the RST is still in flight when the
   // client's DATA arrives.
   ASSERT_TRUE(pair.server.ResetStream(1, ErrorCode::kCancel).ok());
-  (void)pair.server.TakeOutput();
+  (void)TakeOutput(pair.server);
   EXPECT_EQ(pair.server.FindStream(1), nullptr);
   ASSERT_TRUE(pair.client.SubmitData(1, Bytes(100, 0x33), false).ok());
   util::Status status;
@@ -674,7 +678,7 @@ TEST(ConnectionStreams, DataOnStreamThePeerResetGetsStreamClosed) {
   EXPECT_EQ(pair.server.FindStream(1), nullptr);
   ASSERT_TRUE(pair.server.Receive(SerializeFrame(MakeDataFrame(1, Bytes(100, 0x33), false)))
                   .ok());
-  const std::vector<Frame> frames = ParseFrames(pair.server.TakeOutput());
+  const std::vector<Frame> frames = ParseFrames(TakeOutput(pair.server));
   EXPECT_FALSE(pair.server.dead());
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[0].header.type, FrameType::kRstStream);
@@ -690,7 +694,7 @@ TEST(ConnectionStreams, DataOnStreamThePeerResetGetsStreamClosed) {
 void ExpectStreamClosedReset(Connection& connection, const util::Status& status) {
   EXPECT_TRUE(status.ok());
   EXPECT_FALSE(connection.dead());
-  const std::vector<Frame> frames = ParseFrames(connection.TakeOutput());
+  const std::vector<Frame> frames = ParseFrames(TakeOutput(connection));
   ASSERT_EQ(frames.size(), 1u);
   ASSERT_EQ(frames[0].header.type, FrameType::kRstStream);
   EXPECT_EQ(frames[0].header.stream_id, 1u);
@@ -701,9 +705,10 @@ TEST(ConnectionStreams, TrailersOnStreamTheReceiverResetGetStreamClosed) {
   Pair pair;
   OpenTwoStreams(pair, 0);
   ASSERT_TRUE(pair.server.ResetStream(1, ErrorCode::kCancel).ok());
-  (void)pair.server.TakeOutput();
+  (void)TakeOutput(pair.server);
   ASSERT_TRUE(pair.client.SubmitHeaders(1, {{"x-trailer", "1", false}}, true).ok());
-  ExpectStreamClosedReset(pair.server, pair.server.Receive(pair.client.TakeOutput()));
+  ExpectStreamClosedReset(pair.server,
+                          pair.server.Receive(TakeOutput(pair.client)));
   // The dropped block was still decoded: stream 3's trailers refer to
   // the table entry it added, and they arrive intact.
   ASSERT_TRUE(pair.client.SubmitHeaders(3, {{"x-trailer", "1", false}}, true).ok());
@@ -763,7 +768,7 @@ TEST(ConnectionStreams, ResponseHeadersOnStreamTheClientResetKeepTheConnection) 
                                       {"x-render", "on-device", false}};
   ASSERT_TRUE(pair.server.SubmitHeaders(1, response, false).ok());
   ASSERT_TRUE(pair.server.SubmitData(1, Bytes(100, 0x61), true).ok());
-  const Bytes in_flight = pair.server.TakeOutput();
+  const Bytes in_flight = TakeOutput(pair.server);
   // The client cancels stream 1 while its response is in flight.
   ASSERT_TRUE(pair.client.ResetStream(1, ErrorCode::kCancel).ok());
   ASSERT_TRUE(pair.client.Receive(in_flight).ok());
@@ -771,7 +776,7 @@ TEST(ConnectionStreams, ResponseHeadersOnStreamTheClientResetKeepTheConnection) 
   EXPECT_EQ(pair.client.FindStream(1), nullptr);
   // CANCEL from the reset, then a STREAM_CLOSED answer to each of the
   // HEADERS and the DATA frame.
-  const Bytes answers = pair.client.TakeOutput();
+  const Bytes answers = TakeOutput(pair.client);
   const std::vector<Frame> frames = ParseFrames(answers);
   ASSERT_EQ(frames.size(), 3u);
   const ErrorCode codes[] = {ErrorCode::kCancel, ErrorCode::kStreamClosed,
@@ -787,7 +792,7 @@ TEST(ConnectionStreams, ResponseHeadersOnStreamTheClientResetKeepTheConnection) 
   // Stream 3 still completes, and its indexed response header decodes.
   ASSERT_TRUE(pair.server.SubmitHeaders(3, response, false).ok());
   ASSERT_TRUE(pair.server.SubmitData(3, ToBytes("page"), true).ok());
-  ASSERT_TRUE(pair.client.Receive(pair.server.TakeOutput()).ok());
+  ASSERT_TRUE(pair.client.Receive(TakeOutput(pair.server)).ok());
   const Stream* stream = pair.client.FindStream(3);
   ASSERT_NE(stream, nullptr);
   EXPECT_TRUE(stream->remote_end);
@@ -812,14 +817,14 @@ TEST(ConnectionStreams, ResponseOnStreamTheClientResetCountsAgainstWindow) {
   OpenTwoStreams(pair, 0);
   // The client cancels stream 1 while the server's response is in flight.
   ASSERT_TRUE(pair.client.ResetStream(1, ErrorCode::kCancel).ok());
-  (void)pair.client.TakeOutput();
+  (void)TakeOutput(pair.client);
   ASSERT_TRUE(pair.server.SubmitHeaders(3, {{":status", "200", false}}, false).ok());
   ASSERT_TRUE(pair.server.SubmitData(3, Bytes(32700, 0x44), false).ok());
-  ASSERT_TRUE(pair.client.Receive(pair.server.TakeOutput()).ok());
-  (void)pair.client.TakeOutput();
+  ASSERT_TRUE(pair.client.Receive(TakeOutput(pair.server)).ok());
+  (void)TakeOutput(pair.client);
   ASSERT_TRUE(pair.client.Receive(SerializeFrame(MakeDataFrame(1, Bytes(100, 0x55), true)))
                   .ok());
-  const std::vector<Frame> frames = ParseFrames(pair.client.TakeOutput());
+  const std::vector<Frame> frames = ParseFrames(TakeOutput(pair.client));
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[0].header.type, FrameType::kRstStream);
   EXPECT_EQ(ParseRstStreamPayload(frames[0]).value(), ErrorCode::kStreamClosed);
@@ -857,6 +862,62 @@ TEST(ConnectionStreams, RefusedStreamHeaderBlockStillDecoded) {
   ASSERT_NE(stream, nullptr);
   ASSERT_EQ(stream->headers.size(), 4u);
   EXPECT_EQ(stream->headers[3].value, "first-seen-in-refused");
+}
+
+/// A peer that never sends END_HEADERS: HEADERS on `stream_id`, then
+/// full-size CONTINUATION frames.  The server must stop assembling once
+/// the block passes Connection::kMaxHeaderBlockBytes and close the
+/// connection with GOAWAY ENHANCE_YOUR_CALM.  The fragments are never
+/// decoded, so their bytes need not be valid HPACK.
+void ExpectContinuationFloodRejected(Connection& server,
+                                     std::uint32_t stream_id) {
+  Frame headers;
+  headers.header.type = FrameType::kHeaders;
+  headers.header.stream_id = stream_id;
+  headers.payload = Bytes(64, 0x82);
+  ASSERT_TRUE(server.Receive(SerializeFrame(headers)).ok());
+  (void)TakeOutput(server);
+  Frame continuation;
+  continuation.header.type = FrameType::kContinuation;
+  continuation.header.stream_id = stream_id;
+  continuation.payload = Bytes(kDefaultMaxFrameSize, 0x82);
+  std::size_t sent = headers.payload.size();
+  util::Status status = util::Status::Ok();
+  while (status.ok() && sent <= 2 * Connection::kMaxHeaderBlockBytes) {
+    status = server.Receive(SerializeFrame(continuation));
+    sent += continuation.payload.size();
+  }
+  ASSERT_FALSE(status.ok()) << "assembled " << sent << " bytes";
+  EXPECT_GT(sent, Connection::kMaxHeaderBlockBytes);
+  EXPECT_LE(sent, Connection::kMaxHeaderBlockBytes + kDefaultMaxFrameSize);
+  EXPECT_TRUE(server.dead());
+  const std::vector<Frame> frames = ParseFrames(TakeOutput(server));
+  ASSERT_FALSE(frames.empty());
+  ASSERT_EQ(frames.back().header.type, FrameType::kGoaway);
+  EXPECT_EQ(ParseGoawayPayload(frames.back()).value().error_code,
+            ErrorCode::kEnhanceYourCalm);
+}
+
+TEST(ConnectionStreams, ContinuationFloodOnOpenStreamIsEnhanceYourCalm) {
+  Pair pair;
+  pair.Handshake();
+  ExpectContinuationFloodRejected(pair.server, 1);
+}
+
+TEST(ConnectionStreams, ContinuationFloodOnRefusedStreamIsEnhanceYourCalm) {
+  Connection::Options server_options = ServerOptions();
+  server_options.local_settings.set_max_concurrent_streams(1);
+  Connection server(Connection::Role::kServer, server_options);
+  Connection client(Connection::Role::kClient, ClientOptions());
+  client.StartHandshake();
+  server.StartHandshake();
+  net::DirectLinkExchange(client, server);
+  ASSERT_TRUE(client.SubmitRequest(kGet, {}, false).ok());  // stream 1
+  net::DirectLinkExchange(client, server);
+  ASSERT_NE(server.FindStream(1), nullptr);
+  // Stream 3 is over the limit: refused, but its block is still assembled.
+  ExpectContinuationFloodRejected(server, 3);
+  EXPECT_EQ(server.FindStream(3), nullptr);
 }
 
 }  // namespace

@@ -2,11 +2,18 @@
 #include <gtest/gtest.h>
 
 #include "http2/frame.hpp"
+#include "oracles/http2.hpp"
 #include "util/rng.hpp"
 
 namespace sww::http2 {
 namespace {
 
+using oracles::MakeDataFrame;
+using oracles::MakePriorityFrame;
+using oracles::MakeSettingsAckFrame;
+using oracles::MakeWindowUpdateFrame;
+using oracles::SerializeFrame;
+using oracles::WriteFrameHeader;
 using util::Bytes;
 using util::BytesView;
 

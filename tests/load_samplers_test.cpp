@@ -11,6 +11,7 @@
 #include <future>
 #include <vector>
 
+#include "cdn/catalog.hpp"
 #include "load/samplers.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -74,18 +75,36 @@ TEST(LoadSamplers, UniformChiSquareWithinBounds) {
   EXPECT_LT(chi2, 37.7) << "uniform draws fail chi-square";
 }
 
+/// The load engine's page popularity: a synthetic catalog whose items
+/// carry Zipf(s) weights by rank, sampled through its CDF.
+cdn::Catalog ZipfCatalog(std::size_t items, double exponent) {
+  cdn::CatalogOptions options;
+  options.item_count = items;
+  options.zipf_exponent = exponent;
+  return cdn::Catalog::MakeSynthetic(options);
+}
+
+/// The analytic pmf: rank k's weight over the total.
+double Probability(const cdn::Catalog& catalog, std::size_t rank) {
+  double total = 0.0;
+  for (const cdn::CatalogItem& item : catalog.items()) {
+    total += item.popularity_weight;
+  }
+  return catalog.item(rank).popularity_weight / total;
+}
+
 TEST(LoadSamplers, ZipfChiSquareMatchesAnalyticPmf) {
-  // Sampled Zipf ranks against the analytic pmf the sampler exposes.
+  // Sampled Zipf ranks against the analytic pmf of the catalog weights.
   constexpr int kItems = 32;
   constexpr int kDraws = 20000;
-  ZipfSampler zipf(kItems, 1.1);
+  const cdn::Catalog zipf = ZipfCatalog(kItems, 1.1);
   std::vector<int> counts(kItems, 0);
   for (int i = 0; i < kDraws; ++i) {
-    ++counts[zipf.Sample(Draw(99, i, DrawStream::kPage))];
+    ++counts[zipf.SampleRequestUniform(Draw(99, i, DrawStream::kPage))];
   }
   double chi2 = 0.0;
   for (int k = 0; k < kItems; ++k) {
-    const double expected = zipf.Probability(k) * kDraws;
+    const double expected = Probability(zipf, k) * kDraws;
     ASSERT_GT(expected, 5.0) << "cell too thin for chi-square at rank " << k;
     const double d = counts[k] - expected;
     chi2 += d * d / expected;
@@ -95,11 +114,11 @@ TEST(LoadSamplers, ZipfChiSquareMatchesAnalyticPmf) {
 }
 
 TEST(LoadSamplers, ZipfHeadOutweighsTail) {
-  ZipfSampler zipf(64, 1.0);
-  EXPECT_GT(zipf.Probability(0), zipf.Probability(1));
-  EXPECT_GT(zipf.Probability(1), zipf.Probability(63));
+  const cdn::Catalog zipf = ZipfCatalog(64, 1.0);
+  EXPECT_GT(Probability(zipf, 0), Probability(zipf, 1));
+  EXPECT_GT(Probability(zipf, 1), Probability(zipf, 63));
   double total = 0.0;
-  for (std::size_t k = 0; k < 64; ++k) total += zipf.Probability(k);
+  for (std::size_t k = 0; k < 64; ++k) total += Probability(zipf, k);
   EXPECT_NEAR(total, 1.0, 1e-12);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <errno.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/epoll.h>
 #include <netinet/tcp.h>
@@ -28,6 +29,7 @@
 #include "net/timer_wheel.hpp"
 #include "net/write_queue.hpp"
 #include "obs/registry.hpp"
+#include "oracles/net.hpp"
 #include "util/bytes.hpp"
 
 namespace sww::net {
@@ -431,13 +433,14 @@ TEST(Pump, BacklogGaugeHoldsQueueDepthUnderStalledReader) {
 TEST(TcpOptions, RoundTripThroughKernel) {
   TcpListener::Options options;
   options.reuse_port = true;
-  options.non_blocking = true;
   options.tuning.tcp_nodelay = true;
   options.tuning.recv_buffer_bytes = 64 * 1024;
   options.tuning.send_buffer_bytes = 64 * 1024;
   auto listener = TcpListener::Bind(0, options);
   ASSERT_TRUE(listener.ok());
   EXPECT_EQ(listener.value()->options().tuning.recv_buffer_bytes, 64 * 1024);
+  // Every listener is non-blocking: AcceptFd drains to EAGAIN.
+  EXPECT_NE(::fcntl(listener.value()->fd(), F_GETFL) & O_NONBLOCK, 0);
 
   int value = 0;
   socklen_t len = sizeof(value);
@@ -506,7 +509,7 @@ TEST(TcpWriteDeadline, StalledReaderSurfacesTimeout) {
   tcp->set_write_timeout_ms(50);
   // Accept but never read: the peer's buffers fill and Write must give
   // up at the deadline instead of spinning forever.
-  auto server_side = listener.value()->Accept(2000);
+  auto server_side = oracles::AcceptWithin(*listener.value(), 2000);
   ASSERT_TRUE(server_side.ok());
   const Bytes chunk(256 * 1024, 0xab);
   util::Status status = util::Status::Ok();

@@ -10,6 +10,7 @@
 #include "html/parser.hpp"
 #include "http2/connection.hpp"
 #include "net/pump.hpp"
+#include "oracles/http2.hpp"
 #include "video/streaming.hpp"
 
 namespace sww {
@@ -78,8 +79,8 @@ TEST(Http2Edge, PrioritySelfDependencyGetsStreamReset) {
   // PRIORITY frame depending on itself → stream error, not connection death.
   http2::PriorityPayload self{false, 1, 10};
   ASSERT_TRUE(pair.server
-                  .Receive(http2::SerializeFrame(
-                      http2::MakePriorityFrame(1, self)))
+                  .Receive(oracles::SerializeFrame(
+                      oracles::MakePriorityFrame(1, self)))
                   .ok());
   EXPECT_FALSE(pair.server.dead());
   net::DirectLinkExchange(pair.client, pair.server);
@@ -97,7 +98,7 @@ TEST(Http2Edge, UnknownFrameTypeIgnored) {
   unknown.header.type = static_cast<http2::FrameType>(0x0c);
   unknown.header.stream_id = 0;
   unknown.payload = {1, 2, 3};
-  EXPECT_TRUE(pair.server.Receive(http2::SerializeFrame(unknown)).ok());
+  EXPECT_TRUE(pair.server.Receive(oracles::SerializeFrame(unknown)).ok());
   EXPECT_FALSE(pair.server.dead());
 }
 
@@ -106,8 +107,8 @@ TEST(Http2Edge, WindowUpdateOverflowIsFlowControlError) {
   pair.Handshake();
   // Two 2^30 connection-level increments exceed 2^31-1 (the default
   // 65,535 window leaves room for exactly one).
-  const util::Bytes update = http2::SerializeFrame(
-      http2::MakeWindowUpdateFrame(0, 0x40000000u));
+  const util::Bytes update = oracles::SerializeFrame(
+      oracles::MakeWindowUpdateFrame(0, 0x40000000u));
   ASSERT_TRUE(pair.server.Receive(update).ok());
   auto status = pair.server.Receive(update);
   EXPECT_FALSE(status.ok());

@@ -9,6 +9,7 @@
 #include "metrics/clip.hpp"
 #include "net/pump.hpp"
 #include "net/reliable_link.hpp"
+#include "oracles/http2.hpp"
 
 namespace sww::net {
 namespace {
@@ -155,13 +156,15 @@ TEST(ReliableLink, NegotiationSurvivesLossyNetwork) {
   auto pump = [&]() -> util::Status {
     // Move connection bytes into the links, tick the links, feed back.
     if (client.value()->connection().HasOutput()) {
-      if (auto s = pair.first->Write(client.value()->connection().TakeOutput());
+      if (auto s = pair.first->Write(
+              oracles::TakeOutput(client.value()->connection()));
           !s.ok()) {
         return s;
       }
     }
     if (server.value()->connection().HasOutput()) {
-      if (auto s = pair.second->Write(server.value()->connection().TakeOutput());
+      if (auto s = pair.second->Write(
+              oracles::TakeOutput(server.value()->connection()));
           !s.ok()) {
         return s;
       }

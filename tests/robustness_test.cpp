@@ -14,6 +14,7 @@
 #include "http2/connection.hpp"
 #include "json/json.hpp"
 #include "net/pump.hpp"
+#include "oracles/http2.hpp"
 #include "util/rng.hpp"
 
 namespace sww {
@@ -86,7 +87,7 @@ TEST(Fuzz, ServerConnectionSurvivesGarbageAfterPreface) {
     // half the time), then garbage.
     if (rng.NextBool()) {
       const util::Bytes settings =
-          http2::SerializeFrame(http2::MakeSettingsFrame({}));
+          oracles::SerializeFrame(http2::MakeSettingsFrame({}));
       wire.insert(wire.end(), settings.begin(), settings.end());
     }
     const util::Bytes garbage = RandomBytes(rng, 128);
@@ -95,7 +96,7 @@ TEST(Fuzz, ServerConnectionSurvivesGarbageAfterPreface) {
     if (!status.ok()) {
       EXPECT_TRUE(server.dead());
       // A GOAWAY was queued for the peer before dying.
-      const util::Bytes out = server.TakeOutput();
+      const util::Bytes out = oracles::TakeOutput(server);
       EXPECT_FALSE(out.empty());
     }
   }
@@ -152,13 +153,13 @@ TEST(Property, ConnectionResultIndependentOfChunking) {
     http2::Connection server(http2::Connection::Role::kServer, options);
     client.StartHandshake();
     server.StartHandshake();
-    (void)server.Receive(client.TakeOutput());
+    (void)server.Receive(oracles::TakeOutput(client));
     hpack::HeaderList request = {{":method", "GET", false},
                                  {":scheme", "https", false},
                                  {":path", "/x", false}};
-    (void)client.Receive(server.TakeOutput());
+    (void)client.Receive(oracles::TakeOutput(server));
     (void)client.SubmitRequest(request, util::ToBytes("hello body"));
-    const util::Bytes wire = client.TakeOutput();
+    const util::Bytes wire = oracles::TakeOutput(client);
 
     // Reference: single delivery.
     http2::Connection reference(http2::Connection::Role::kServer, options);
@@ -166,17 +167,17 @@ TEST(Property, ConnectionResultIndependentOfChunking) {
     const util::Bytes preface_and_settings = [] {
       http2::Connection c(http2::Connection::Role::kClient, {});
       c.StartHandshake();
-      return c.TakeOutput();
+      return oracles::TakeOutput(c);
     }();
     // Build the full byte stream the server sees.
     util::Bytes full;
     {
       http2::Connection c(http2::Connection::Role::kClient, options);
       c.StartHandshake();
-      util::Bytes handshake = c.TakeOutput();
+      util::Bytes handshake = oracles::TakeOutput(c);
       // Server's settings not required before client sends.
       (void)c.SubmitRequest(request, util::ToBytes("hello body"));
-      util::Bytes rest = c.TakeOutput();
+      util::Bytes rest = oracles::TakeOutput(c);
       full = std::move(handshake);
       full.insert(full.end(), rest.begin(), rest.end());
     }
@@ -311,7 +312,7 @@ TEST(FailureInjection, HugeHeaderListRejectedByReceiver) {
                                {":path", "/", false},
                                {"x-big", std::string(1000, 'x'), false}};
   ASSERT_TRUE(client.SubmitRequest(request, {}).ok());
-  auto status = server.Receive(client.TakeOutput());
+  auto status = server.Receive(oracles::TakeOutput(client));
   EXPECT_FALSE(status.ok());
   EXPECT_TRUE(server.dead());
 }

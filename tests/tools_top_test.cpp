@@ -98,7 +98,7 @@ TEST(RenderTopTable, CustomQuantilesExemplarColumnAndSloSection) {
     sample.histograms[obs::PrometheusSeriesName(name)] = snapshot;
   }
   const std::vector<QuantileSpec> quantiles = {{50.0, "P50"}, {99.9, "P999"}};
-  const std::string table = RenderTopTable(sample, 1, quantiles);
+  const std::string table = RenderTopTable({sample}, quantiles);
   EXPECT_NE(table.find("P999"), std::string::npos);
   EXPECT_EQ(table.find("P95"), std::string::npos);  // not requested
   // The tail exemplar trace id shows on the series row.
@@ -110,7 +110,7 @@ TEST(RenderTopTable, CustomQuantilesExemplarColumnAndSloSection) {
   // Without any stock series there is no SLO section.
   MetricsSample unrelated;
   unrelated.histograms["sww_other"] = sample.histograms.begin()->second;
-  EXPECT_EQ(RenderTopTable(unrelated, 1, quantiles).find("SLO REPORT"),
+  EXPECT_EQ(RenderTopTable({unrelated}, quantiles).find("SLO REPORT"),
             std::string::npos);
 }
 
@@ -125,11 +125,12 @@ TEST(RenderTopTable, MultiSourceAddsLegendAndPerSourceColumns) {
   b.counters["sww_only_here_total"] = 7;
   b.gauges["sww_hit_ratio"] = 0.75;
 
-  // One source: byte-identical to the merged single-sample render — the
-  // run.top.txt golden must not notice the overload exists.
+  // One source: byte-identical to the render of its merged sample, with
+  // no per-source columns — the run.top.txt golden is a one-source table.
   const std::vector<QuantileSpec> quantiles = DefaultQuantiles();
   EXPECT_EQ(RenderTopTable({a}, quantiles),
-            RenderTopTable(MergeSamples({a}), 1, quantiles));
+            RenderTopTable({MergeSamples({a})}, quantiles));
+  EXPECT_EQ(RenderTopTable({a}, quantiles).find("S1 ="), std::string::npos);
 
   const std::string table = RenderTopTable({a, b}, quantiles);
   // Legend maps the S-columns back to the scrape targets.

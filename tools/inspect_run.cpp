@@ -148,8 +148,7 @@ Result<InspectResult> RunInspect(const InspectOptions& options) {
       tracer.SetClock(nullptr);
       return top_sample.error();
     }
-    result.top_text = RenderTopTable(MergeSamples({top_sample.value()}),
-                                     /*source_count=*/1);
+    result.top_text = RenderTopTable({top_sample.value()});
   }
   result.journal_dropped = obs::Journal::Default().dropped();
   result.spans_dropped = tracer.dropped();

@@ -327,113 +327,24 @@ std::vector<QuantileSpec> DefaultQuantiles() {
   return {{50.0, "P50"}, {95.0, "P95"}, {99.0, "P99"}};
 }
 
-std::string RenderTopTable(const MetricsSample& merged,
-                           std::size_t source_count,
+std::string RenderTopTable(const std::vector<MetricsSample>& samples,
                            const std::vector<QuantileSpec>& quantiles) {
+  const MetricsSample merged = MergeSamples(samples);
+  // Fleet view: with more than one source every section gains one column
+  // per source next to the merged total, so a lopsided member (one host
+  // eating the tail, one host dropping journal records) is visible
+  // without re-scraping each endpoint alone.  One source gets none.
+  constexpr std::size_t kMaxSourceColumns = 8;
+  const std::size_t shown =
+      samples.size() > 1 ? std::min(samples.size(), kMaxSourceColumns) : 0;
+  const char* value_label = shown == 0 ? "VALUE" : "TOTAL";
   std::string out;
   char line[256];
   std::snprintf(line, sizeof(line),
                 "sww_top — %zu source%s · %zu counters · %zu gauges · %zu "
                 "histograms\n",
-                source_count, source_count == 1 ? "" : "s",
+                samples.size(), samples.size() == 1 ? "" : "s",
                 merged.counters.size(), merged.gauges.size(),
-                merged.histograms.size());
-  out += line;
-  if (!merged.histograms.empty()) {
-    std::snprintf(line, sizeof(line), "\n%-44s %10s", "HISTOGRAM", "COUNT");
-    out += line;
-    for (const QuantileSpec& spec : quantiles) {
-      std::snprintf(line, sizeof(line), " %10s", spec.label.c_str());
-      out += line;
-    }
-    std::snprintf(line, sizeof(line), " %10s %16s\n", "MAX", "EXEMPLAR");
-    out += line;
-    for (const auto& [name, h] : merged.histograms) {
-      std::snprintf(line, sizeof(line), "%-44s %10zu", name.c_str(), h.count);
-      out += line;
-      for (const QuantileSpec& spec : quantiles) {
-        std::snprintf(line, sizeof(line), " %10.4g",
-                      obs::HistogramSnapshotQuantile(h, spec.q));
-        out += line;
-      }
-      // The tail exemplar: the newest traced observation in the highest
-      // occupied bucket — the trace id to pull from the journal when the
-      // tail looks wrong.
-      std::string exemplar_text = "-";
-      for (std::size_t i = h.exemplars.size(); i-- > 0;) {
-        if (h.exemplars[i].trace_id != 0) {
-          char id[17];
-          std::snprintf(id, sizeof(id), "%016llx",
-                        static_cast<unsigned long long>(
-                            h.exemplars[i].trace_id));
-          exemplar_text = id;
-          break;
-        }
-      }
-      std::snprintf(line, sizeof(line), " %10.4g %16s\n", h.max,
-                    exemplar_text.c_str());
-      out += line;
-    }
-  }
-  if (!merged.gauges.empty()) {
-    std::snprintf(line, sizeof(line), "\n%-44s %10s\n", "GAUGE", "VALUE");
-    out += line;
-    for (const auto& [name, value] : merged.gauges) {
-      std::snprintf(line, sizeof(line), "%-44s %10.6g\n", name.c_str(), value);
-      out += line;
-    }
-  }
-  if (!merged.counters.empty()) {
-    std::snprintf(line, sizeof(line), "\n%-44s %10s\n", "COUNTER", "VALUE");
-    out += line;
-    for (const auto& [name, value] : merged.counters) {
-      std::snprintf(line, sizeof(line), "%-44s %10llu\n", name.c_str(),
-                    static_cast<unsigned long long>(value));
-      out += line;
-    }
-  }
-  // Burn-rate report over the stock objectives, for whichever of their
-  // series this merged sample carries.  A single sample gives the engine
-  // one cumulative snapshot: both windows clamp to whole-run burn, which
-  // is exactly the liveness question "is this run burning error budget".
-  obs::SloEngine engine{obs::DefaultSloObjectives()};
-  bool any_series = false;
-  for (const obs::SloObjective& objective : engine.objectives()) {
-    auto it = merged.histograms.find(obs::PrometheusSeriesName(objective.series));
-    if (it == merged.histograms.end()) continue;
-    engine.Ingest(objective.series, it->second, /*now_nanos=*/0);
-    any_series = true;
-  }
-  if (any_series) {
-    out += '\n';
-    out += obs::RenderSloReport(engine.Evaluate(/*now_nanos=*/0));
-  }
-  return out;
-}
-
-std::string RenderTopTable(const MetricsSample& merged,
-                           std::size_t source_count) {
-  return RenderTopTable(merged, source_count, DefaultQuantiles());
-}
-
-std::string RenderTopTable(const std::vector<MetricsSample>& samples,
-                           const std::vector<QuantileSpec>& quantiles) {
-  const MetricsSample merged = MergeSamples(samples);
-  if (samples.size() <= 1) {
-    return RenderTopTable(merged, samples.size(), quantiles);
-  }
-  // Fleet view: the merged table layout widened with one column per
-  // source, so a lopsided member (one host eating the tail, one host
-  // dropping journal records) is visible without re-scraping each
-  // endpoint alone.
-  constexpr std::size_t kMaxSourceColumns = 8;
-  const std::size_t shown = std::min(samples.size(), kMaxSourceColumns);
-  std::string out;
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "sww_top — %zu sources · %zu counters · %zu gauges · %zu "
-                "histograms\n",
-                samples.size(), merged.counters.size(), merged.gauges.size(),
                 merged.histograms.size());
   out += line;
   for (std::size_t i = 0; i < shown; ++i) {
@@ -441,7 +352,7 @@ std::string RenderTopTable(const std::vector<MetricsSample>& samples,
                   samples[i].source.c_str());
     out += line;
   }
-  if (samples.size() > shown) {
+  if (shown != 0 && samples.size() > shown) {
     std::snprintf(line, sizeof(line),
                   "  ... %zu more sources folded into the totals\n",
                   samples.size() - shown);
@@ -452,6 +363,21 @@ std::string RenderTopTable(const std::vector<MetricsSample>& samples,
       char label[16];
       std::snprintf(label, sizeof(label), "S%zu%s", i + 1, suffix);
       std::snprintf(line, sizeof(line), " %10s", label);
+      out += line;
+    }
+  };
+  // One cell per shown source for series `name` of the map `member`:
+  // `print` formats the source's value into `line`; a source that does
+  // not carry the series shows "-".
+  auto source_cells = [&](auto member, const std::string& name, auto print) {
+    for (std::size_t i = 0; i < shown; ++i) {
+      const auto& series = samples[i].*member;
+      auto it = series.find(name);
+      if (it == series.end()) {
+        std::snprintf(line, sizeof(line), " %10s", "-");
+      } else {
+        print(it->second);
+      }
       out += line;
     }
   };
@@ -477,15 +403,14 @@ std::string RenderTopTable(const std::vector<MetricsSample>& samples,
       }
       std::snprintf(line, sizeof(line), " %10.4g", h.max);
       out += line;
-      for (std::size_t i = 0; i < shown; ++i) {
-        auto it = samples[i].histograms.find(name);
-        if (it == samples[i].histograms.end()) {
-          std::snprintf(line, sizeof(line), " %10s", "-");
-        } else {
-          std::snprintf(line, sizeof(line), " %10zu", it->second.count);
-        }
-        out += line;
-      }
+      source_cells(&MetricsSample::histograms, name,
+                   [&](const obs::HistogramSnapshot& snapshot) {
+                     std::snprintf(line, sizeof(line), " %10zu",
+                                   snapshot.count);
+                   });
+      // The tail exemplar: the newest traced observation in the highest
+      // occupied bucket — the trace id to pull from the journal when the
+      // tail looks wrong.
       std::string exemplar_text = "-";
       for (std::size_t i = h.exemplars.size(); i-- > 0;) {
         if (h.exemplars[i].trace_id != 0) {
@@ -502,27 +427,21 @@ std::string RenderTopTable(const std::vector<MetricsSample>& samples,
     }
   }
   if (!merged.gauges.empty()) {
-    std::snprintf(line, sizeof(line), "\n%-44s %10s", "GAUGE", "TOTAL");
+    std::snprintf(line, sizeof(line), "\n%-44s %10s", "GAUGE", value_label);
     out += line;
     source_headers("");
     out += '\n';
     for (const auto& [name, value] : merged.gauges) {
       std::snprintf(line, sizeof(line), "%-44s %10.6g", name.c_str(), value);
       out += line;
-      for (std::size_t i = 0; i < shown; ++i) {
-        auto it = samples[i].gauges.find(name);
-        if (it == samples[i].gauges.end()) {
-          std::snprintf(line, sizeof(line), " %10s", "-");
-        } else {
-          std::snprintf(line, sizeof(line), " %10.6g", it->second);
-        }
-        out += line;
-      }
+      source_cells(&MetricsSample::gauges, name, [&](double v) {
+        std::snprintf(line, sizeof(line), " %10.6g", v);
+      });
       out += '\n';
     }
   }
   if (!merged.counters.empty()) {
-    std::snprintf(line, sizeof(line), "\n%-44s %10s", "COUNTER", "TOTAL");
+    std::snprintf(line, sizeof(line), "\n%-44s %10s", "COUNTER", value_label);
     out += line;
     source_headers("");
     out += '\n';
@@ -530,21 +449,17 @@ std::string RenderTopTable(const std::vector<MetricsSample>& samples,
       std::snprintf(line, sizeof(line), "%-44s %10llu", name.c_str(),
                     static_cast<unsigned long long>(value));
       out += line;
-      for (std::size_t i = 0; i < shown; ++i) {
-        auto it = samples[i].counters.find(name);
-        if (it == samples[i].counters.end()) {
-          std::snprintf(line, sizeof(line), " %10s", "-");
-        } else {
-          std::snprintf(line, sizeof(line), " %10llu",
-                        static_cast<unsigned long long>(it->second));
-        }
-        out += line;
-      }
+      source_cells(&MetricsSample::counters, name, [&](std::uint64_t v) {
+        std::snprintf(line, sizeof(line), " %10llu",
+                      static_cast<unsigned long long>(v));
+      });
       out += '\n';
     }
   }
-  // Same whole-run burn evaluation as the single-sample table, over the
-  // merged series.
+  // Burn-rate report over the stock objectives, for whichever of their
+  // series the merged sample carries.  A single sample gives the engine
+  // one cumulative snapshot: both windows clamp to whole-run burn, which
+  // is exactly the liveness question "is this run burning error budget".
   obs::SloEngine engine{obs::DefaultSloObjectives()};
   bool any_series = false;
   for (const obs::SloObjective& objective : engine.objectives()) {

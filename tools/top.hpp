@@ -67,29 +67,22 @@ util::Result<MetricsSample> ParseMetricsJsonl(std::string_view text);
 /// merge exactly on the shared grid (obs::MergeHistogramSnapshots).
 MetricsSample MergeSamples(const std::vector<MetricsSample>& samples);
 
-/// Render the aggregated table: a histogram section (count, one column
-/// per requested quantile, max, and the newest tail exemplar trace id
-/// when one is present), a ratio/gauge section, a counter section, and —
-/// when any stock SLO objective's series is present — the SLO burn-rate
-/// report.  Each section is sorted by series name; deterministic for
-/// deterministic input.
-std::string RenderTopTable(const MetricsSample& merged,
-                           std::size_t source_count,
-                           const std::vector<QuantileSpec>& quantiles);
-/// Default-quantile convenience overload.
-std::string RenderTopTable(const MetricsSample& merged,
-                           std::size_t source_count);
-
-/// Multi-source render.  With zero or one sample this is byte-identical
-/// to the merged single-sample table above (so goldens over one source
-/// are unaffected).  With more, the header grows a source legend
+/// Render the table over the merged samples: a histogram section (count,
+/// one column per requested quantile, max, and the newest tail exemplar
+/// trace id when one is present), a ratio/gauge section, a counter
+/// section, and — when any stock SLO objective's series is present — the
+/// SLO burn-rate report.  Each section is sorted by series name;
+/// deterministic for deterministic input.
+///
+/// With more than one sample the header grows a source legend
 /// (S1 = <source>, ...) and every section gains one value column per
 /// source next to the merged total: per-source counts for histograms,
 /// per-source values for gauges and counters ("-" where a source does
 /// not carry the series).  At most eight sources get columns; the rest
 /// still fold into the merged totals.
-std::string RenderTopTable(const std::vector<MetricsSample>& samples,
-                           const std::vector<QuantileSpec>& quantiles);
+std::string RenderTopTable(
+    const std::vector<MetricsSample>& samples,
+    const std::vector<QuantileSpec>& quantiles = DefaultQuantiles());
 
 /// GET `path` from a live server on 127.0.0.1:`port` over the repo's own
 /// HTTP/2 stack and parse the body as a Prometheus exposition.
