@@ -64,9 +64,8 @@ int main() {
     return 1;
   }
   // The unique photo remains a served file.
-  const std::string family_ppm = payloads["/photos/family.jpg"].ToPpm();
   store.AddAsset("/photos/family.jpg",
-                 util::Bytes(family_ppm.begin(), family_ppm.end()),
+                 payloads["/photos/family.jpg"].ToPpmBytes(),
                  "image/x-portable-pixmap");
   auto session = core::LocalSession::Start(&store, {});
   auto fetch = session.value()->FetchPage("/valley");

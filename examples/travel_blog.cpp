@@ -31,10 +31,8 @@ int main() {
     const auto photo = camera.Generate(
         "hikers resting at a mountain hut, afternoon light", 320, 240,
         30, 9000 + i);
-    const std::string ppm = photo.value().image.ToPpm();
     store.AddAsset(blog.unique_asset_paths[i],
-                   util::Bytes(ppm.begin(), ppm.end()),
-                   "image/x-portable-pixmap");
+                   photo.value().image.ToPpmBytes(), "image/x-portable-pixmap");
   }
   const core::StorageStats storage = store.Stats();
   std::printf("server storage: %llu B as prompts vs %llu B traditional "

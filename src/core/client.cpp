@@ -168,7 +168,7 @@ Status GenerativeClient::MaterializePage(PageFetch& fetch, const PumpFn& pump) {
     MediaGenerator::Splice(extraction.specs[i], media);
     fetch.generation_energy_wh += media.energy_wh;
     if (media.type == html::GeneratedContentType::kImage) {
-      fetch.files[media.file_path] = media.file_bytes;
+      fetch.files[media.file_path] = std::move(media.file_bytes);
     }
     if (media.has_verification) {
       if (media.verification.verified()) {
@@ -203,7 +203,7 @@ Status GenerativeClient::MaterializePage(PageFetch& fetch, const PumpFn& pump) {
           static_cast<double>(asset.value().wire_body_bytes),
           span.context().trace_id,
           obs::Tracer::Default().clock().NowNanos());
-      fetch.files[src] = asset.value().body;
+      fetch.files[src] = std::move(asset.value().body);
     }
   }
 
@@ -215,7 +215,8 @@ Status GenerativeClient::MaterializePage(PageFetch& fetch, const PumpFn& pump) {
     const std::string src = img->GetAttribute("src").value_or("");
     auto file = fetch.files.find(src);
     if (file == fetch.files.end()) continue;
-    auto small = genai::Image::FromPpm(util::ToString(file->second));
+    auto small = genai::Image::FromPpm(std::string_view(
+        reinterpret_cast<const char*>(file->second.data()), file->second.size()));
     if (!small) continue;  // non-PPM unique asset; leave as-is
     int width = 0, height = 0;
     try {
@@ -229,8 +230,7 @@ Status GenerativeClient::MaterializePage(PageFetch& fetch, const PumpFn& pump) {
     }
     auto upscaled = genai::Upscale(small.value(), width, height);
     if (!upscaled) continue;
-    const std::string ppm = upscaled.value().image.ToPpm();
-    file->second.assign(ppm.begin(), ppm.end());
+    file->second = upscaled.value().image.ToPpmBytes();
     img->RemoveAttribute("data-sww-upscale");
     ++fetch.upscaled_items;
     fetch.upscale_seconds +=

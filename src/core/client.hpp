@@ -43,7 +43,9 @@ struct PageFetch {
   /// All produced/downloaded files: generated images (PPM) and fetched
   /// unique assets, keyed by path.
   std::map<std::string, util::Bytes> files;
-  /// Per-item generation details (prompts, sizes, simulated costs).
+  /// Per-item generation details (prompts, sizes, simulated costs,
+  /// verification).  Metadata only: an image's PPM bytes are moved into
+  /// `files`, so its `file_bytes` here is empty.
   std::vector<GeneratedMedia> media;
 
   std::uint64_t page_bytes = 0;       ///< HTML bytes received

@@ -196,8 +196,7 @@ MediaGenerator::BuiltItem MediaGenerator::BuildImage(
   media.width = width;
   media.height = height;
   media.file_path = options_.output_prefix + media.name + ".ppm";
-  const std::string ppm = generated.value().image.ToPpm();
-  media.file_bytes.assign(ppm.begin(), ppm.end());
+  media.file_bytes = generated.value().image.ToPpmBytes();
   media.seconds = energy::ImageGenerationSeconds(
       *device_, pipeline_.diffusion().spec(), options_.inference_steps, width,
       height);

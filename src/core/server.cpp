@@ -316,7 +316,7 @@ Result<Response> GenerativeServer::ServePageTraditional(const PageEntry& page) {
       // Serve the materialized image on its referenced path.  Root-relative
       // so the client's asset fetch matches.
       ephemeral_assets_["/" + media.value().file_path] =
-          Asset{media.value().file_bytes, "image/x-portable-pixmap"};
+          Asset{std::move(media.value().file_bytes), "image/x-portable-pixmap"};
       // Point the img src at the absolute path.
       if (spec.node != nullptr) {
         if (html::Node* img = spec.node->FindFirstByTag("img"); img != nullptr) {
@@ -353,7 +353,7 @@ Result<Response> GenerativeServer::ServePageUpscaleAssist(const PageEntry& page)
       if (!media) return media.error();
       RecordGeneration(media.value().seconds, media.value().energy_wh);
       ephemeral_assets_["/" + media.value().file_path] =
-          Asset{media.value().file_bytes, "image/x-portable-pixmap"};
+          Asset{std::move(media.value().file_bytes), "image/x-portable-pixmap"};
       // Replace the div: <img> declares the authored size plus the
       // upscale factor the client must apply.
       html::ReplaceWithImage(*spec.node, "/" + media.value().file_path,

@@ -48,10 +48,14 @@ ContentVerification VerifyGeneratedContent(std::string_view authored_prompt,
                                            int budget) {
   ContentVerification result;
   // Stage 1 — exact: the digest must be the digest of the authored prompt.
-  result.prompt_integrity = DigestOfPrompt(authored_prompt) == expected;
+  const SemanticDigest authored = DigestOfPrompt(authored_prompt);
+  result.prompt_integrity = authored == expected;
   // Stage 2 — statistical: the pixels must carry the semantics of the
-  // prompt that was actually used for generation.
-  const SemanticDigest used = DigestOfPrompt(received_prompt);
+  // prompt that was actually used for generation (the authored one unless
+  // personalization extended it).
+  const SemanticDigest used = received_prompt == authored_prompt
+                                  ? authored
+                                  : DigestOfPrompt(received_prompt);
   result.distance = DigestDistance(DigestOfImage(image), used);
   result.semantically_faithful = result.distance <= budget;
   return result;

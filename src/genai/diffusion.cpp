@@ -35,6 +35,13 @@ void PromptHue(std::string_view prompt, double* r_gain, double* g_gain,
 /// Render a cell-grid luminance field to pixels with smooth (bilinear)
 /// interpolation between cell centers plus fine deterministic texture.
 ///
+/// The carrier is separable: a column's clamped cell indices and weights
+/// are tabled once per image, and a band of rows sharing a cell row keeps
+/// the four per-column products c·(1-tx) and c·tx, so a pixel costs four
+/// multiplies and three adds in the same left-to-right order as the
+/// per-pixel formula (c00·(1-tx)·(1-ty) + c10·tx·(1-ty) + c01·(1-tx)·ty +
+/// c11·tx·ty) — the bytes are identical to evaluating it directly.
+///
 /// Row-tile parallel when a pool is given.  The per-pixel texture is a
 /// stateless counter hash of (seed, x, y) — every pixel's noise depends
 /// only on its own coordinates, so output bytes are identical for any
@@ -47,46 +54,57 @@ Image RenderField(const std::vector<double>& field, int width, int height,
   PromptHue(prompt, &r_gain, &g_gain, &b_gain);
   const std::uint64_t texture_seed = util::HashCombine(seed, 0x7e37a2u);
 
-  auto cell_value = [&field](int cx, int cy) {
-    cx = std::clamp(cx, 0, kSemanticGrid - 1);
-    cy = std::clamp(cy, 0, kSemanticGrid - 1);
-    return field[static_cast<std::size_t>(cy * kSemanticGrid + cx)];
+  // Bilinear interpolation in cell space, sampled at cell centers.
+  auto clamp_cell = [](int c) { return std::clamp(c, 0, kSemanticGrid - 1); };
+  struct Column {
+    int left, right;         // clamped cell columns of cx and cx + 1
+    double w_left, w_right;  // 1 - tx and tx
   };
+  std::vector<Column> columns(static_cast<std::size_t>(width));
+  for (int x = 0; x < width; ++x) {
+    const double fx = (static_cast<double>(x) + 0.5) / width * kSemanticGrid - 0.5;
+    const int cx = static_cast<int>(std::floor(fx));
+    const double tx = fx - cx;
+    columns[static_cast<std::size_t>(x)] =
+        Column{clamp_cell(cx), clamp_cell(cx + 1), 1 - tx, tx};
+  }
 
   auto render_rows = [&](std::int64_t y_begin, std::int64_t y_end) {
-    // Three tight loops per row — the bilinear carrier, the texture, then
-    // the pixels — through two row buffers.  Fused into one per-pixel
-    // loop, the same arithmetic rendered 1.2-1.4x slower (256x256, -O3).
-    std::vector<double> value(static_cast<std::size_t>(width));
-    std::vector<double> texture(static_cast<std::size_t>(width));
+    const auto w = static_cast<std::size_t>(width);
+    // Products of the band's top (cy) and bottom (cy + 1) cell rows with
+    // the column weights, rebuilt when a row enters a new band.
+    std::vector<double> top_left(w), top_right(w), bottom_left(w), bottom_right(w);
+    int band = -2;  // no row has floor(fy) below -1
     for (int y = static_cast<int>(y_begin); y < y_end; ++y) {
-      for (int x = 0; x < width; ++x) {
-        // Bilinear interpolation in cell space, sampled at cell centers.
-        const double fx = (static_cast<double>(x) + 0.5) / width * kSemanticGrid - 0.5;
-        const double fy = (static_cast<double>(y) + 0.5) / height * kSemanticGrid - 0.5;
-        const int cx = static_cast<int>(std::floor(fx));
-        const int cy = static_cast<int>(std::floor(fy));
-        const double tx = fx - cx;
-        const double ty = fy - cy;
-        value[static_cast<std::size_t>(x)] =
-            cell_value(cx, cy) * (1 - tx) * (1 - ty) +
-            cell_value(cx + 1, cy) * tx * (1 - ty) +
-            cell_value(cx, cy + 1) * (1 - tx) * ty +
-            cell_value(cx + 1, cy + 1) * tx * ty;
+      const double fy = (static_cast<double>(y) + 0.5) / height * kSemanticGrid - 0.5;
+      const int cy = static_cast<int>(std::floor(fy));
+      const double ty = fy - cy;
+      const double sy = 1 - ty;
+      if (cy != band) {
+        band = cy;
+        const double* top = &field[static_cast<std::size_t>(clamp_cell(cy) * kSemanticGrid)];
+        const double* bottom =
+            &field[static_cast<std::size_t>(clamp_cell(cy + 1) * kSemanticGrid)];
+        for (std::size_t x = 0; x < w; ++x) {
+          const Column& c = columns[x];
+          top_left[x] = top[c.left] * c.w_left;
+          top_right[x] = top[c.right] * c.w_right;
+          bottom_left[x] = bottom[c.left] * c.w_left;
+          bottom_right[x] = bottom[c.right] * c.w_right;
+        }
       }
-      // Fine per-pixel texture: zero-mean, so cell means (the semantic
-      // carrier) are preserved.
-      for (int x = 0; x < width; ++x) {
-        texture[static_cast<std::size_t>(x)] =
-            util::CounterRange(texture_seed, static_cast<std::uint64_t>(x),
-                               static_cast<std::uint64_t>(y), -9.0, 9.0);
-      }
-      for (int x = 0; x < width; ++x) {
-        const double luminance = 128.0 + value[static_cast<std::size_t>(x)] +
-                                 texture[static_cast<std::size_t>(x)];
-        image.Set(x, y,
-                  Pixel{ClampByte(luminance * r_gain), ClampByte(luminance * g_gain),
-                        ClampByte(luminance * b_gain)});
+      std::uint8_t* out = image.row(y);
+      for (std::size_t x = 0; x < w; ++x) {
+        const double value = top_left[x] * sy + top_right[x] * sy +
+                             bottom_left[x] * ty + bottom_right[x] * ty;
+        // Fine per-pixel texture: zero-mean, so cell means (the semantic
+        // carrier) are preserved.
+        const double texture = util::CounterRange(
+            texture_seed, x, static_cast<std::uint64_t>(y), -9.0, 9.0);
+        const double luminance = 128.0 + value + texture;
+        out[3 * x] = ClampByte(luminance * r_gain);
+        out[3 * x + 1] = ClampByte(luminance * g_gain);
+        out[3 * x + 2] = ClampByte(luminance * b_gain);
       }
     }
   };

@@ -1,6 +1,7 @@
 #include "genai/image.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 
 namespace sww::genai {
@@ -46,12 +47,38 @@ double Image::MeanLuminance(int x0, int y0, int x1, int y1) const {
   return sum / (static_cast<double>(x1 - x0) * (y1 - y0));
 }
 
-std::string Image::ToPpm() const {
+namespace {
+
+/// Largest width, height or maxval FromPpm accepts: bounds the digit
+/// parser and keeps width·height·3 inside size_t.
+constexpr int kMaxPpmDimension = 1 << 15;
+
+/// The one P6 encoder: "P6\n<w> <h>\n255\n", then the pixel bytes, built
+/// in place in the caller's buffer type.  Both inserts take pointers to
+/// the buffer's own element type, so the pixels go in as one memcpy.
+template <typename Buffer>
+Buffer EncodePpm(int width, int height, const std::vector<std::uint8_t>& pixels) {
+  using Byte = typename Buffer::value_type;
   char header[64];
-  std::snprintf(header, sizeof(header), "P6\n%d %d\n255\n", width_, height_);
-  std::string out(header);
-  out.append(reinterpret_cast<const char*>(data_.data()), data_.size());
+  const int length =
+      std::snprintf(header, sizeof(header), "P6\n%d %d\n255\n", width, height);
+  const auto* header_bytes = reinterpret_cast<const Byte*>(header);
+  const auto* pixel_bytes = reinterpret_cast<const Byte*>(pixels.data());
+  Buffer out;
+  out.reserve(static_cast<std::size_t>(length) + pixels.size());
+  out.insert(out.end(), header_bytes, header_bytes + length);
+  out.insert(out.end(), pixel_bytes, pixel_bytes + pixels.size());
   return out;
+}
+
+}  // namespace
+
+std::string Image::ToPpm() const {
+  return EncodePpm<std::string>(width_, height_, data_);
+}
+
+util::Bytes Image::ToPpmBytes() const {
+  return EncodePpm<util::Bytes>(width_, height_, data_);
 }
 
 Result<Image> Image::FromPpm(std::string_view ppm) {
@@ -77,6 +104,9 @@ Result<Image> Image::FromPpm(std::string_view ppm) {
     bool any = false;
     while (pos < ppm.size() && std::isdigit(static_cast<unsigned char>(ppm[pos]))) {
       value = value * 10 + (ppm[pos] - '0');
+      if (value > kMaxPpmDimension) {
+        return Error(ErrorCode::kMalformed, "ppm: value out of range");
+      }
       ++pos;
       any = true;
     }
@@ -92,7 +122,11 @@ Result<Image> Image::FromPpm(std::string_view ppm) {
   if (maxval.value() != 255) {
     return Error(ErrorCode::kMalformed, "ppm: only maxval 255 supported");
   }
-  ++pos;  // single whitespace after maxval
+  // A single whitespace byte separates the maxval from the pixels.
+  if (pos >= ppm.size()) {
+    return Error(ErrorCode::kTruncated, "ppm: pixel data truncated");
+  }
+  ++pos;
   const std::size_t needed =
       static_cast<std::size_t>(width.value()) * height.value() * 3;
   if (ppm.size() - pos < needed) {

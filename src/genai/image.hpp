@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace sww::genai {
@@ -41,9 +42,16 @@ class Image {
   double MeanLuminance(int x0, int y0, int x1, int y1) const;
 
   const std::vector<std::uint8_t>& data() const { return data_; }
+  /// Row `y`'s 3·width bytes, for writers that fill whole rows.
+  std::uint8_t* row(int y) {
+    return data_.data() + static_cast<std::size_t>(y) * width_ * 3;
+  }
 
-  /// Binary PPM (P6) round trip.
+  /// Binary PPM (P6) round trip.  ToPpmBytes is the same encoding built
+  /// straight into a byte buffer.  FromPpm rejects a width, height or
+  /// maxval above 32768 and pixel data shorter than the header declares.
   std::string ToPpm() const;
+  util::Bytes ToPpmBytes() const;
   static util::Result<Image> FromPpm(std::string_view ppm);
 
   /// The byte size this image would occupy as a typical compressed media

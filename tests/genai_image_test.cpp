@@ -2,6 +2,10 @@
 // upscaling, prompt inversion.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "genai/diffusion.hpp"
 #include "genai/embedding.hpp"
 #include "genai/image.hpp"
@@ -59,12 +63,26 @@ TEST(Image, PpmRoundTrip) {
   EXPECT_EQ(parsed.value().width(), 5);
   EXPECT_EQ(parsed.value().height(), 4);
   EXPECT_EQ(parsed.value().data(), image.data());
+  const std::string ppm = image.ToPpm();
+  EXPECT_EQ(image.ToPpmBytes(), util::Bytes(ppm.begin(), ppm.end()));
 }
 
 TEST(Image, PpmRejectsGarbage) {
   EXPECT_FALSE(Image::FromPpm("P5\n1 1\n255\nx").ok());
   EXPECT_FALSE(Image::FromPpm("P6\n2 2\n255\nxy").ok());  // truncated
   EXPECT_FALSE(Image::FromPpm("P6\n2 2\n65535\n").ok());
+  // Ends right after the maxval, with no separator byte.  Held in an
+  // exact-size heap buffer so reading past its end is an ASAN error.
+  const std::string header_only = "P6\n1 1\n255";
+  const std::vector<char> exact(header_only.begin(), header_only.end());
+  EXPECT_FALSE(Image::FromPpm(std::string_view(exact.data(), exact.size())).ok());
+  // Digit runs that would overflow int (a UBSAN error) or allocate
+  // absurdly large images.
+  EXPECT_FALSE(Image::FromPpm("P6\n99999999999999999999 1\n255\nxyz").ok());
+  EXPECT_FALSE(Image::FromPpm("P6\n1 4294967297\n255\nxyz").ok());
+  EXPECT_FALSE(Image::FromPpm("P6\n32769 1\n255\n").ok());
+  // In range but larger than the data: truncated, not allocated.
+  EXPECT_FALSE(Image::FromPpm("P6\n32768 32768\n255\nxyz").ok());
 }
 
 TEST(Image, TypicalCompressedBytesMatchesPaperSizes) {
