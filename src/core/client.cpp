@@ -162,7 +162,6 @@ Status GenerativeClient::MaterializePage(PageFetch& fetch, const PumpFn& pump) {
   auto batch = generator_->GenerateBatch(extraction.specs);
   if (!batch) return batch.error();
   fetch.generation_seconds += batch.value().device_seconds;
-  fetch.generation_wall_seconds += batch.value().wall_seconds;
   for (std::size_t i = 0; i < batch.value().items.size(); ++i) {
     GeneratedMedia& media = batch.value().items[i];
     MediaGenerator::Splice(extraction.specs[i], media);
@@ -286,10 +285,10 @@ Result<PageFetch> GenerativeClient::FetchPage(const std::string& path,
     record.cache = options_.enable_prompt_cache
                        ? (result.from_cache ? "hit" : "miss")
                        : "none";
-    record.generation_seconds = result.generation_wall_seconds;
+    record.generation_seconds = result.generation_seconds;
     record.upscale_seconds = result.upscale_seconds;
     const double local_seconds =
-        result.generation_wall_seconds + result.upscale_seconds;
+        result.generation_seconds + result.upscale_seconds;
     record.wire_seconds =
         total_seconds > local_seconds ? total_seconds - local_seconds : 0.0;
     record.page_bytes = result.page_bytes;

@@ -28,6 +28,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sww::core {
 
@@ -53,10 +54,6 @@ struct PageFetch {
   std::size_t generated_items = 0;
   double generation_seconds = 0.0;    ///< simulated device-seconds (sum)
   double generation_energy_wh = 0.0;
-  /// Modeled elapsed generation time with the configured parallelism: the
-  /// makespan of the batch schedule over the generator's device lanes.
-  /// Equals generation_seconds when generation is serial.
-  double generation_wall_seconds = 0.0;
 
   /// §2.2 upscale-assist mode: images restored to authored size locally.
   std::size_t upscaled_items = 0;
@@ -78,7 +75,13 @@ class GenerativeClient {
     std::uint32_t advertised_ability = http2::kGenAbilityFull;
     /// Generate on the laptop profile (end-user device) by default.
     bool laptop = true;
-    MediaGenerator::Options generator;
+    /// A page's items render across the process-wide pool by default;
+    /// generator.pool = nullptr renders them on the calling thread.
+    MediaGenerator::Options generator = [] {
+      MediaGenerator::Options options;
+      options.pool = &util::ThreadPool::Shared();
+      return options;
+    }();
     /// Cache generative-mode page bodies locally (512 KiB): a revisit
     /// regenerates everything on-device without touching the network.
     bool enable_prompt_cache = false;

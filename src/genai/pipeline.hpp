@@ -39,12 +39,6 @@ class GenerationPipeline {
   const DiffusionModel& diffusion() const { return *diffusion_; }
   const TextModel& text() const { return *text_; }
 
-  /// Attach a thread pool to the kernels that can use one (the diffusion
-  /// model's tile-parallel renderer).  nullptr restores serial execution.
-  void SetThreadPool(util::ThreadPool* pool) {
-    diffusion_->set_thread_pool(pool);
-  }
-
   /// Accumulated one-time load cost in simulated seconds.
   double load_seconds() const { return load_seconds_; }
 

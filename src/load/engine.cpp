@@ -136,7 +136,7 @@ Result<double> CalibrateServerOverheadSeconds() {
   if (!fetch.ok()) return fetch.error();
   const double elapsed =
       static_cast<double>(after - before) / kNanosPerSecond;
-  const double modeled = fetch.value().generation_wall_seconds +
+  const double modeled = fetch.value().generation_seconds +
                          fetch.value().upscale_seconds;
   const double overhead = elapsed > modeled ? elapsed - modeled : 0.0;
   return std::max(overhead, kMinOverheadSeconds);

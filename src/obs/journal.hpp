@@ -55,7 +55,7 @@ struct JournalRecord {
   // Phase latencies, in modeled seconds.
   double total_seconds = 0.0;
   double wire_seconds = 0.0;        ///< total minus local generation work
-  double generation_seconds = 0.0;  ///< parallel makespan of generation
+  double generation_seconds = 0.0;  ///< modeled generation time
   double upscale_seconds = 0.0;
 
   // Payload and wire volume.
