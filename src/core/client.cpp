@@ -147,18 +147,29 @@ Result<Response> GenerativeClient::FetchRaw(
   return response;
 }
 
-Status GenerativeClient::MaterializePage(PageFetch& fetch, const PumpFn& pump) {
+Result<GenerativeClient::ParsedPage> GenerativeClient::ParsePage(
+    const util::Bytes& body) {
+  auto document = html::ParseDocument(std::string_view(
+      reinterpret_cast<const char*>(body.data()), body.size()));
+  if (!document) return document.error();
+  ParsedPage page;
+  page.document = std::move(document).value();
+  page.extraction = html::ExtractGeneratedContent(*page.document);
+  return page;
+}
+
+Status GenerativeClient::MaterializePage(PageFetch& fetch, Result<ParsedPage> page,
+                                         const PumpFn& pump) {
   obs::ScopedSpan span("client.materialize", "core");
   span.SetProcess("client");
-  auto document = html::ParseDocument(util::ToString(fetch.response.body));
-  if (!document) return document.error();
+  if (!page) return page.error();
+  const std::unique_ptr<html::Node>& document = page.value().document;
+  html::ExtractionResult& extraction = page.value().extraction;
 
   // Client-side generation: materialize every generated-content div as
   // one batch — independent specs fan out across the generator's pool,
   // and results merge back here in document order (DOM splices, files,
   // stats, and warnings are deterministic for any thread count).
-  html::ExtractionResult extraction =
-      html::ExtractGeneratedContent(*document.value());
   auto batch = generator_->GenerateBatch(extraction.specs);
   if (!batch) return batch.error();
   fetch.generation_seconds += batch.value().device_seconds;
@@ -190,7 +201,7 @@ Status GenerativeClient::MaterializePage(PageFetch& fetch, const PumpFn& pump) {
 
   // Unique content files "are fetched, same as today" — follow root-
   // relative <img> links that generation did not satisfy locally.
-  for (html::Node* img : document.value()->FindByTag("img")) {
+  for (html::Node* img : document->FindByTag("img")) {
     const std::string src = img->GetAttribute("src").value_or("");
     if (src.empty() || src[0] != '/') continue;  // local generated file
     if (fetch.files.count(src) != 0) continue;
@@ -207,7 +218,7 @@ Status GenerativeClient::MaterializePage(PageFetch& fetch, const PumpFn& pump) {
   }
 
   // §2.2 upscale-assist: restore half-resolution assets to authored size.
-  for (html::Node* img : document.value()->FindByTag("img")) {
+  for (html::Node* img : document->FindByTag("img")) {
     const std::string factor_attr =
         img->GetAttribute("data-sww-upscale").value_or("");
     if (factor_attr.empty()) continue;
@@ -238,7 +249,7 @@ Status GenerativeClient::MaterializePage(PageFetch& fetch, const PumpFn& pump) {
         energy::UpscaleEnergyWh(generator_->device(), width, height);
   }
 
-  fetch.final_html = document.value()->Serialize();
+  fetch.final_html = document->Serialize();
   span.AddAttribute("generated_items", std::to_string(fetch.generated_items));
   span.AddAttribute("upscaled_items", std::to_string(fetch.upscaled_items));
   return Status::Ok();
@@ -320,7 +331,8 @@ Result<PageFetch> GenerativeClient::FetchPageInner(const std::string& path,
       fetch.response.body = util::ToBytes(*cached);
       instruments_.pages_from_cache->Add();
       span.AddAttribute("from_cache", "true");
-      if (Status status = MaterializePage(fetch, pump); !status.ok()) {
+      if (Status status = MaterializePage(fetch, ParsePage(fetch.response.body), pump);
+          !status.ok()) {
         return status.error();
       }
       return fetch;
@@ -343,10 +355,14 @@ Result<PageFetch> GenerativeClient::FetchPageInner(const std::string& path,
     return fetch;
   }
 
+  // The body is parsed once: the model check below and the
+  // materialization share the document.
+  Result<ParsedPage> page = ParsePage(fetch.response.body);
+
   // §7 model negotiation: if the page demands more model than this client
   // carries, re-request it materialized rather than render it badly.
-  if (fetch.mode == "generative" &&
-      RequiresStrongerModel(util::ToString(fetch.response.body))) {
+  if (fetch.mode == "generative" && page.ok() &&
+      RequiresStrongerModel(page.value().extraction)) {
     util::LogInfo("sww.client",
                   "page requires a stronger model; falling back to "
                   "materialized delivery");
@@ -363,7 +379,8 @@ Result<PageFetch> GenerativeClient::FetchPageInner(const std::string& path,
     fetch.model_fallback = true;
     instruments_.model_fallbacks->Add();
     span.AddAttribute("model_fallback", "true");
-    if (Status status = MaterializePage(fetch, pump); !status.ok()) {
+    if (Status status = MaterializePage(fetch, ParsePage(fetch.response.body), pump);
+        !status.ok()) {
       return status.error();
     }
     return fetch;
@@ -375,17 +392,14 @@ Result<PageFetch> GenerativeClient::FetchPageInner(const std::string& path,
     prompt_cache_.Put(path, util::ToString(fetch.response.body));
   }
 
-  if (Status status = MaterializePage(fetch, pump); !status.ok()) {
+  if (Status status = MaterializePage(fetch, std::move(page), pump); !status.ok()) {
     return status.error();
   }
   return fetch;
 }
 
-bool GenerativeClient::RequiresStrongerModel(const std::string& body) const {
-  auto document = html::ParseDocument(body);
-  if (!document.ok()) return false;
-  html::ExtractionResult extraction =
-      html::ExtractGeneratedContent(*document.value());
+bool GenerativeClient::RequiresStrongerModel(
+    const html::ExtractionResult& extraction) const {
   for (const html::GeneratedContentSpec& spec : extraction.specs) {
     const double required = spec.metadata.GetNumber("min_fidelity", 0.0);
     const double available =

@@ -136,12 +136,21 @@ class GenerativeClient {
                                          obs::ScopedSpan& span);
   /// Handle pending connection events; fails if `stream_id` was reset.
   util::Status DrainEvents(std::uint32_t stream_id);
-  /// Parse the page body in `fetch`, run generation/asset-fetch/upscale,
-  /// and fill in the final DOM and statistics.
-  util::Status MaterializePage(PageFetch& fetch, const PumpFn& pump);
+  /// A page body parsed once, with the generated-content specs that
+  /// point into its document.
+  struct ParsedPage {
+    std::unique_ptr<html::Node> document;
+    html::ExtractionResult extraction;
+  };
+  static util::Result<ParsedPage> ParsePage(const util::Bytes& body);
+  /// Run generation/asset-fetch/upscale on `fetch`'s parsed page body and
+  /// fill in the final DOM and statistics; fails with the parse error if
+  /// the body did not parse.
+  util::Status MaterializePage(PageFetch& fetch, util::Result<ParsedPage> page,
+                               const PumpFn& pump);
   /// §7 model negotiation: does the page demand more fidelity than the
   /// loaded pipeline provides?
-  bool RequiresStrongerModel(const std::string& body) const;
+  bool RequiresStrongerModel(const html::ExtractionResult& extraction) const;
 
   Options options_;
   std::unique_ptr<MediaGenerator> generator_;

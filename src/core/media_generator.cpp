@@ -166,7 +166,8 @@ Result<GeneratedBatch> MediaGenerator::GenerateBatch(
 MediaGenerator::BuiltItem MediaGenerator::BuildImage(
     const html::GeneratedContentSpec& spec, util::Bytes ppm) const {
   BuiltItem item;
-  std::string prompt = spec.prompt();
+  const std::string authored = spec.prompt();
+  std::string prompt = authored;
   if (prompt.empty()) {
     item.media = Error(ErrorCode::kInvalidArgument, "image spec has empty prompt");
     return item;
@@ -175,7 +176,7 @@ MediaGenerator::BuiltItem MediaGenerator::BuildImage(
   const PersonalizedPrompt personalized =
       PersonalizePrompt(options_.profile, prompt);
   if (personalized.applied) {
-    item.audit = PersonalizationRecord{spec.name(), prompt, personalized.prompt,
+    item.audit = PersonalizationRecord{spec.name(), authored, personalized.prompt,
                                        personalized.injected_tokens};
     prompt = personalized.prompt;
   }
@@ -185,8 +186,12 @@ MediaGenerator::BuiltItem MediaGenerator::BuildImage(
   // is what makes prompt-as-content a coherent delivery mechanism.
   const std::uint64_t seed = util::Fnv1a64(prompt);
 
+  // One text embedding serves the render's conditioning and, below, the
+  // §7 digest of the received prompt (and of the authored one when no
+  // personalization changed it).
+  const genai::Vec embedding = genai::TextEmbeddingOf(prompt);
   auto generated = pipeline_.diffusion().Generate(
-      prompt, width, height, options_.inference_steps, seed);
+      prompt, embedding, width, height, options_.inference_steps, seed);
   if (!generated) {
     item.media = generated.error();
     return item;
@@ -215,14 +220,16 @@ MediaGenerator::BuiltItem MediaGenerator::BuildImage(
 
   // §7 trust: when the author attached a semantic digest, verify both the
   // integrity of the received prompt and the faithfulness of the pixels.
-  // The authored prompt is spec.prompt(); `prompt` may additionally carry
-  // the bounded personalization suffix.
+  // `prompt` may carry the bounded personalization suffix on top of the
+  // authored prompt, which then needs its own embedding.
   if (const std::string digest_hex = spec.metadata.GetString("digest");
       !digest_hex.empty()) {
     media.has_verification = true;
-    media.verification =
-        VerifyGeneratedContent(spec.prompt(), prompt, DigestFromHex(digest_hex),
-                               generated.value().image);
+    const SemanticDigest received = DigestOfEmbedding(embedding);
+    const PromptDigests digests{
+        prompt == authored ? received : DigestOfPrompt(authored), received};
+    media.verification = VerifyGeneratedContent(
+        digests, DigestFromHex(digest_hex), generated.value().image);
     // Draft-quality generation (fewer steps than the model's default)
     // legitimately carries more residual noise; hold only full-quality
     // output to the faithfulness budget.  Prompt integrity always applies.

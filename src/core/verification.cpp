@@ -6,9 +6,7 @@
 
 namespace sww::core {
 
-namespace {
-
-SemanticDigest SignBits(const genai::Vec& embedding) {
+SemanticDigest DigestOfEmbedding(const genai::Vec& embedding) {
   SemanticDigest digest = 0;
   for (int i = 0; i < genai::kEmbeddingDim && i < 64; ++i) {
     if (embedding[static_cast<std::size_t>(i)] >= 0.0) {
@@ -18,14 +16,12 @@ SemanticDigest SignBits(const genai::Vec& embedding) {
   return digest;
 }
 
-}  // namespace
-
 SemanticDigest DigestOfPrompt(std::string_view prompt) {
-  return SignBits(genai::TextEmbeddingOf(prompt));
+  return DigestOfEmbedding(genai::TextEmbeddingOf(prompt));
 }
 
 SemanticDigest DigestOfImage(const genai::Image& image) {
-  return SignBits(genai::ImageEmbedding(image));
+  return DigestOfEmbedding(genai::ImageEmbedding(image));
 }
 
 int DigestDistance(SemanticDigest a, SemanticDigest b) {
@@ -46,17 +42,25 @@ ContentVerification VerifyGeneratedContent(std::string_view authored_prompt,
                                            SemanticDigest expected,
                                            const genai::Image& image,
                                            int budget) {
+  const SemanticDigest authored = DigestOfPrompt(authored_prompt);
+  const SemanticDigest received = received_prompt == authored_prompt
+                                      ? authored
+                                      : DigestOfPrompt(received_prompt);
+  return VerifyGeneratedContent(PromptDigests{authored, received}, expected,
+                                image, budget);
+}
+
+ContentVerification VerifyGeneratedContent(const PromptDigests& prompts,
+                                           SemanticDigest expected,
+                                           const genai::Image& image,
+                                           int budget) {
   ContentVerification result;
   // Stage 1 — exact: the digest must be the digest of the authored prompt.
-  const SemanticDigest authored = DigestOfPrompt(authored_prompt);
-  result.prompt_integrity = authored == expected;
+  result.prompt_integrity = prompts.authored == expected;
   // Stage 2 — statistical: the pixels must carry the semantics of the
   // prompt that was actually used for generation (the authored one unless
   // personalization extended it).
-  const SemanticDigest used = received_prompt == authored_prompt
-                                  ? authored
-                                  : DigestOfPrompt(received_prompt);
-  result.distance = DigestDistance(DigestOfImage(image), used);
+  result.distance = DigestDistance(DigestOfImage(image), prompts.received);
   result.semantically_faithful = result.distance <= budget;
   return result;
 }

@@ -34,6 +34,9 @@ namespace sww::core {
 /// 64-bit semantic signature: bit i = sign of embedding component i.
 using SemanticDigest = std::uint64_t;
 
+/// Digest of an embedding: the sign bits of its components.
+SemanticDigest DigestOfEmbedding(const genai::Vec& embedding);
+
 /// Digest of a prompt's embedding (authoring side).
 SemanticDigest DigestOfPrompt(std::string_view prompt);
 
@@ -77,6 +80,21 @@ struct ContentVerification {
 /// authored prefix).
 ContentVerification VerifyGeneratedContent(std::string_view authored_prompt,
                                            std::string_view received_prompt,
+                                           SemanticDigest expected,
+                                           const genai::Image& image,
+                                           int budget = kFaithfulnessBudget);
+
+/// The digests of the authored and the received prompt, for a caller
+/// that already holds their embeddings (MediaGenerator embeds each prompt
+/// once, for the render and both digests).
+struct PromptDigests {
+  SemanticDigest authored = 0;
+  SemanticDigest received = 0;
+};
+
+/// The one implementation of the two stages; the overload above is this
+/// one with both prompts digested (once, when they are equal).
+ContentVerification VerifyGeneratedContent(const PromptDigests& prompts,
                                            SemanticDigest expected,
                                            const genai::Image& image,
                                            int budget = kFaithfulnessBudget);

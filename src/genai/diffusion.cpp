@@ -17,10 +17,6 @@ using util::Result;
 
 namespace {
 
-std::uint8_t ClampByte(double v) {
-  return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
-}
-
 /// Prompt-derived base hue: stable per prompt, so "a green forest" and
 /// re-generations of it look consistent.
 void PromptHue(std::string_view prompt, double* r_gain, double* g_gain,
@@ -31,26 +27,20 @@ void PromptHue(std::string_view prompt, double* r_gain, double* g_gain,
   *b_gain = 0.75 + 0.5 * util::HashToUnit(h * 0xbf58476d1ce4e5b9ULL + 2);
 }
 
-/// Render a cell-grid luminance field to pixels with smooth (bilinear)
-/// interpolation between cell centers plus fine deterministic texture.
-///
-/// The carrier is separable: a column's clamped cell indices and weights
-/// are tabled once per image, and a band of rows sharing a cell row keeps
-/// the four per-column products c·(1-tx) and c·tx, so a pixel costs four
-/// multiplies and three adds in the same left-to-right order as the
-/// per-pixel formula (c00·(1-tx)·(1-ty) + c10·tx·(1-ty) + c01·(1-tx)·ty +
-/// c11·tx·ty) — the bytes are identical to evaluating it directly.
-///
-/// Runs on the calling thread: pages parallelize across items
-/// (core::MediaGenerator::GenerateBatch), not inside one image.  The
-/// per-pixel texture is a stateless counter hash of (seed, x, y), so the
-/// bytes do not depend on which thread renders them.
+}  // namespace
+
 Image RenderField(const std::vector<double>& field, int width, int height,
-                  std::string_view prompt, std::uint64_t seed) {
+                  std::string_view prompt, std::uint64_t seed,
+                  util::simd::Lane lane) {
   Image image(width, height);
-  double r_gain = 1.0, g_gain = 1.0, b_gain = 1.0;
-  PromptHue(prompt, &r_gain, &g_gain, &b_gain);
-  const std::uint64_t texture_seed = util::HashCombine(seed, 0x7e37a2u);
+  util::simd::PixelRow row;
+  PromptHue(prompt, &row.gain[0], &row.gain[1], &row.gain[2]);
+  row.offset = 128.0;
+  // Fine per-pixel texture: zero-mean, so cell means (the semantic
+  // carrier) are preserved.
+  row.texture_seed = util::HashCombine(seed, 0x7e37a2u);
+  row.texture_lo = -9.0;
+  row.texture_hi = 9.0;
 
   // Bilinear interpolation in cell space, sampled at cell centers.
   auto clamp_cell = [](int c) { return std::clamp(c, 0, kSemanticGrid - 1); };
@@ -71,12 +61,17 @@ Image RenderField(const std::vector<double>& field, int width, int height,
   // Products of the band's top (cy) and bottom (cy + 1) cell rows with
   // the column weights, rebuilt when a row enters a new band.
   std::vector<double> top_left(w), top_right(w), bottom_left(w), bottom_right(w);
+  row.top_left = top_left.data();
+  row.top_right = top_right.data();
+  row.bottom_left = bottom_left.data();
+  row.bottom_right = bottom_right.data();
   int band = -2;  // no row has floor(fy) below -1
   for (int y = 0; y < height; ++y) {
     const double fy = (static_cast<double>(y) + 0.5) / height * kSemanticGrid - 0.5;
     const int cy = static_cast<int>(std::floor(fy));
-    const double ty = fy - cy;
-    const double sy = 1 - ty;
+    row.ty = fy - cy;
+    row.sy = 1 - row.ty;
+    row.y = static_cast<std::uint64_t>(y);
     if (cy != band) {
       band = cy;
       const double* top = &field[static_cast<std::size_t>(clamp_cell(cy) * kSemanticGrid)];
@@ -90,26 +85,20 @@ Image RenderField(const std::vector<double>& field, int width, int height,
         bottom_right[x] = bottom[c.right] * c.w_right;
       }
     }
-    std::uint8_t* out = image.row(y);
-    for (std::size_t x = 0; x < w; ++x) {
-      const double value = top_left[x] * sy + top_right[x] * sy +
-                           bottom_left[x] * ty + bottom_right[x] * ty;
-      // Fine per-pixel texture: zero-mean, so cell means (the semantic
-      // carrier) are preserved.
-      const double texture = util::CounterRange(
-          texture_seed, x, static_cast<std::uint64_t>(y), -9.0, 9.0);
-      const double luminance = 128.0 + value + texture;
-      out[3 * x] = ClampByte(luminance * r_gain);
-      out[3 * x + 1] = ClampByte(luminance * g_gain);
-      out[3 * x + 2] = ClampByte(luminance * b_gain);
-    }
+    util::simd::RenderPixelRow(row, w, image.row(y), lane);
   }
   return image;
 }
 
-}  // namespace
+Result<GeneratedImage> DiffusionModel::Generate(std::string_view prompt,
+                                                int width, int height,
+                                                int steps,
+                                                std::uint64_t seed) const {
+  return Generate(prompt, TextEmbeddingOf(prompt), width, height, steps, seed);
+}
 
 Result<GeneratedImage> DiffusionModel::Generate(std::string_view prompt,
+                                                const Vec& text_embedding,
                                                 int width, int height,
                                                 int steps,
                                                 std::uint64_t seed) const {
@@ -121,7 +110,6 @@ Result<GeneratedImage> DiffusionModel::Generate(std::string_view prompt,
   }
 
   // 1. Text conditioning.
-  const Vec text_embedding = TextEmbeddingOf(prompt);
   const std::vector<double> target = SemanticField(text_embedding);
 
   // 2. Seeded initial latent: pure Gaussian noise over the cell grid.
@@ -158,7 +146,8 @@ Result<GeneratedImage> DiffusionModel::Generate(std::string_view prompt,
 
   // 4. Render.
   GeneratedImage out;
-  out.image = RenderField(latent, width, height, prompt, seed);
+  out.image = RenderField(latent, width, height, prompt, seed,
+                          util::simd::ActiveLane());
   out.info.model = spec_.name;
   out.info.steps = steps;
   out.info.width = width;
@@ -174,7 +163,7 @@ Image DiffusionModel::RandomImage(int width, int height, std::uint64_t seed) {
   util::Rng rng(util::HashCombine(seed, 0xDEADBEEFULL));
   std::vector<double> latent(static_cast<std::size_t>(cells));
   for (double& v : latent) v = rng.NextGaussian(0.0, kPlantAmplitude);
-  return RenderField(latent, width, height, "", seed);
+  return RenderField(latent, width, height, "", seed, util::simd::ActiveLane());
 }
 
 }  // namespace sww::genai

@@ -19,11 +19,13 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "genai/embedding.hpp"
 #include "genai/image.hpp"
 #include "genai/model_specs.hpp"
 #include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace sww::genai {
 
@@ -56,6 +58,15 @@ class DiffusionModel {
                                         int height, int steps,
                                         std::uint64_t seed) const;
 
+  /// The same generation for a caller that already holds the prompt's
+  /// text conditioning: `text_embedding` must be TextEmbeddingOf(prompt).
+  /// MediaGenerator embeds each prompt once and shares it with the §7
+  /// digests; the overload above is this one plus that embedding.
+  util::Result<GeneratedImage> Generate(std::string_view prompt,
+                                        const Vec& text_embedding, int width,
+                                        int height, int steps,
+                                        std::uint64_t seed) const;
+
   /// Generate with the model's default step count.
   util::Result<GeneratedImage> Generate(std::string_view prompt, int width,
                                         int height, std::uint64_t seed) const {
@@ -69,5 +80,26 @@ class DiffusionModel {
  private:
   ImageModelSpec spec_;
 };
+
+/// Step 4 of Generate: render a cell-grid luminance field to pixels with
+/// smooth (bilinear) interpolation between cell centers, the prompt's hue
+/// and a fine deterministic texture.
+///
+/// The carrier is separable: a column's clamped cell indices and weights
+/// are tabled once per image, and a band of rows sharing a cell row keeps
+/// the four per-column products c·(1-tx) and c·tx, so a pixel costs four
+/// multiplies and three adds in the same left-to-right order as the
+/// per-pixel formula (c00·(1-tx)·(1-ty) + c10·tx·(1-ty) + c01·(1-tx)·ty +
+/// c11·tx·ty) — the bytes are identical to evaluating it directly.  Each
+/// row is one util::simd::RenderPixelRow in `lane`; the bytes are the
+/// same in every lane.
+///
+/// Runs on the calling thread: pages parallelize across items
+/// (core::MediaGenerator::GenerateBatch), not inside one image.  The
+/// per-pixel texture is a stateless counter hash of (seed, x, y), so the
+/// bytes do not depend on which thread renders them.
+Image RenderField(const std::vector<double>& field, int width, int height,
+                  std::string_view prompt, std::uint64_t seed,
+                  util::simd::Lane lane);
 
 }  // namespace sww::genai

@@ -1,5 +1,6 @@
 #include "genai/embedding.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <mutex>
 
@@ -80,23 +81,50 @@ std::vector<double> SemanticField(const Vec& text_embedding) {
   return field;
 }
 
-std::vector<double> ReadCellField(const Image& image) {
+std::vector<double> ReadCellField(const Image& image, util::simd::Lane lane) {
   std::vector<double> field(kSemanticGrid * kSemanticGrid, 0.0);
   if (image.empty()) return field;
   const double cell_w = static_cast<double>(image.width()) / kSemanticGrid;
   const double cell_h = static_cast<double>(image.height()) / kSemanticGrid;
+  if (image.width() < kSemanticGrid || image.height() < kSemanticGrid) {
+    for (int cy = 0; cy < kSemanticGrid; ++cy) {
+      for (int cx = 0; cx < kSemanticGrid; ++cx) {
+        const int x0 = static_cast<int>(cx * cell_w);
+        const int y0 = static_cast<int>(cy * cell_h);
+        const int x1 = static_cast<int>((cx + 1) * cell_w);
+        const int y1 = static_cast<int>((cy + 1) * cell_h);
+        const double mean = image.MeanLuminance(x0, y0, std::max(x1, x0 + 1),
+                                                std::max(y1, y0 + 1));
+        field[static_cast<std::size_t>(cy * kSemanticGrid + cx)] = mean - 128.0;
+      }
+    }
+    return field;
+  }
+  // Cells at least one pixel wide and tall tile the image exactly: cell
+  // cx spans [bounds[cx], bounds[cx + 1]), and bounds[kSemanticGrid] is
+  // the width.  Integer sums are exact, so each mean is the same double
+  // as MeanLuminance's.
+  int bounds[kSemanticGrid + 1];
+  for (int cx = 0; cx <= kSemanticGrid; ++cx) bounds[cx] = static_cast<int>(cx * cell_w);
   for (int cy = 0; cy < kSemanticGrid; ++cy) {
+    const int y0 = static_cast<int>(cy * cell_h);
+    const int y1 = static_cast<int>((cy + 1) * cell_h);
+    std::uint64_t sums[kSemanticGrid] = {};
+    for (int y = y0; y < y1; ++y) {
+      util::simd::AddLuminanceSpans(image.row(y), bounds, kSemanticGrid, sums, lane);
+    }
     for (int cx = 0; cx < kSemanticGrid; ++cx) {
-      const int x0 = static_cast<int>(cx * cell_w);
-      const int y0 = static_cast<int>(cy * cell_h);
-      const int x1 = static_cast<int>((cx + 1) * cell_w);
-      const int y1 = static_cast<int>((cy + 1) * cell_h);
-      const double mean = image.MeanLuminance(x0, y0, std::max(x1, x0 + 1),
-                                              std::max(y1, y0 + 1));
-      field[static_cast<std::size_t>(cy * kSemanticGrid + cx)] = mean - 128.0;
+      const double pixels =
+          static_cast<double>(bounds[cx + 1] - bounds[cx]) * (y1 - y0);
+      field[static_cast<std::size_t>(cy * kSemanticGrid + cx)] =
+          static_cast<double>(sums[cx]) / pixels - 128.0;
     }
   }
   return field;
+}
+
+std::vector<double> ReadCellField(const Image& image) {
+  return ReadCellField(image, util::simd::ActiveLane());
 }
 
 Vec FieldToEmbedding(const std::vector<double>& field) {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "genai/image.hpp"
+#include "util/simd.hpp"
 
 namespace sww::genai {
 
@@ -60,7 +61,13 @@ const Vec& CellBasis(int cell_index);
 /// in units of luminance deviation from mid-gray.
 std::vector<double> SemanticField(const Vec& text_embedding);
 
-/// Read a (possibly resized) image's cell luminance field back out.
+/// Read a (possibly resized) image's cell luminance field back out: each
+/// cell's mean integer BT.601 luminance minus 128.  When width and height
+/// are at least kSemanticGrid the cells partition the image, and each row
+/// is summed per cell by util::simd::AddLuminanceSpans in `lane`; smaller
+/// images have overlapping cells and use Image::MeanLuminance per cell.
+/// The field is identical in every lane.
+std::vector<double> ReadCellField(const Image& image, util::simd::Lane lane);
 std::vector<double> ReadCellField(const Image& image);
 
 /// Project a cell field back into embedding space (the inverse of

@@ -46,6 +46,9 @@ class Image {
   std::uint8_t* row(int y) {
     return data_.data() + static_cast<std::size_t>(y) * width_ * 3;
   }
+  const std::uint8_t* row(int y) const {
+    return data_.data() + static_cast<std::size_t>(y) * width_ * 3;
+  }
 
   /// Largest width, height or maxval FromPpm accepts: bounds the digit
   /// parser and keeps width·height·3 inside size_t.

@@ -33,6 +33,13 @@ WallStats SummarizeWall(const std::vector<double>& sample_ns) {
 
 WallStats TimeKernel(const std::function<void()>& kernel,
                      const TimingOptions& options, Clock* clock) {
+  return TimeKernels({kernel}, options, clock).front();
+}
+
+std::vector<WallStats> TimeKernels(
+    const std::vector<std::function<void()>>& kernels,
+    const TimingOptions& options, Clock* clock) {
+  if (kernels.empty()) return {};
   SystemClock system_clock;
   Clock* source = clock != nullptr ? clock : &system_clock;
   const int warmup = std::max(0, options.warmup_iterations);
@@ -40,25 +47,32 @@ WallStats TimeKernel(const std::function<void()>& kernel,
   const int max_iterations = std::max(min_iterations, options.max_iterations);
   const double min_total_ns = std::max(0.0, options.min_total_seconds) * 1e9;
 
-  for (int i = 0; i < warmup; ++i) kernel();
+  for (int i = 0; i < warmup; ++i) {
+    for (const auto& kernel : kernels) kernel();
+  }
 
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(min_iterations));
-  double total_ns = 0.0;
-  while (static_cast<int>(samples.size()) < max_iterations) {
-    const std::uint64_t start = source->NowNanos();
-    kernel();
-    const std::uint64_t stop = source->NowNanos();
-    const double elapsed =
-        stop > start ? static_cast<double>(stop - start) : 0.0;
-    samples.push_back(elapsed);
-    total_ns += elapsed;
-    if (static_cast<int>(samples.size()) >= min_iterations &&
-        total_ns >= min_total_ns) {
+  std::vector<std::vector<double>> samples(kernels.size());
+  std::vector<double> total_ns(kernels.size(), 0.0);
+  for (int round = 1; round <= max_iterations; ++round) {
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+      const std::uint64_t start = source->NowNanos();
+      kernels[k]();
+      const std::uint64_t stop = source->NowNanos();
+      const double elapsed =
+          stop > start ? static_cast<double>(stop - start) : 0.0;
+      samples[k].push_back(elapsed);
+      total_ns[k] += elapsed;
+    }
+    if (round >= min_iterations &&
+        *std::min_element(total_ns.begin(), total_ns.end()) >= min_total_ns) {
       break;
     }
   }
-  return SummarizeWall(samples);
+  std::vector<WallStats> stats;
+  for (const std::vector<double>& kernel_samples : samples) {
+    stats.push_back(SummarizeWall(kernel_samples));
+  }
+  return stats;
 }
 
 double CanonicalizeModeled(double value) {
@@ -81,6 +95,15 @@ void State::Info(std::string_view key, double value) {
 
 void State::Time(std::string_view label, const std::function<void()>& kernel) {
   result_.wall[std::string(label)] = TimeKernel(kernel, timing_);
+}
+
+void State::TimeInterleaved(std::string_view label_a,
+                            const std::function<void()>& a,
+                            std::string_view label_b,
+                            const std::function<void()>& b) {
+  const std::vector<WallStats> stats = TimeKernels({a, b}, timing_);
+  result_.wall[std::string(label_a)] = stats[0];
+  result_.wall[std::string(label_b)] = stats[1];
 }
 
 void State::Check(bool ok, std::string_view what) {

@@ -88,6 +88,16 @@ struct TimingOptions {
 WallStats TimeKernel(const std::function<void()>& kernel,
                      const TimingOptions& options, Clock* clock = nullptr);
 
+/// The same protocol over several kernels, interleaved: each round, warmup
+/// and measured alike, runs every kernel once in order, so a change in
+/// host load during the run reaches all of them alike.  Stops once every
+/// kernel has `min_iterations` samples and `min_total_seconds` of measured
+/// time, or after `max_iterations` rounds.  One WallStats per kernel, in
+/// order; TimeKernel is this with one kernel.
+std::vector<WallStats> TimeKernels(
+    const std::vector<std::function<void()>>& kernels,
+    const TimingOptions& options, Clock* clock = nullptr);
+
 /// Round to 9 significant digits (snprintf "%.9g" and back).  Every
 /// modeled metric passes through this before landing in the JSON, so the
 /// exact-gate survives last-ulp libm differences across toolchains while
@@ -124,6 +134,10 @@ class State {
   /// Time a kernel under the warmup + adaptive protocol; stats land under
   /// `label` in the wall section.
   void Time(std::string_view label, const std::function<void()>& kernel);
+  /// Time two kernels interleaved (TimeKernels) — the form for a pair
+  /// whose ratio is the result, such as a scalar and a vector lane.
+  void TimeInterleaved(std::string_view label_a, const std::function<void()>& a,
+                       std::string_view label_b, const std::function<void()>& b);
   /// Record a failed invariant; the runner exits non-zero if any
   /// benchmark checked false.
   void Check(bool ok, std::string_view what);

@@ -1,11 +1,20 @@
 // simd.hpp — vectorized compute fast lanes with runtime CPU dispatch.
 //
-// Two inner loops of a generative fetch get a vector kernel: the
-// embedding dot product and the LZ77 match extender of the SWZ
-// tokenizer.  Both clear 2x over the scalar loop with AVX2 (see
-// bench_simd_fastlane); loops that do not stay plain C++ in their
-// callers (docs/performance.md §SIMD).  The repository's core invariant
-// holds here too: *every* modeled byte and score is identical on every
+// Four inner loops of a generative fetch get a vector kernel, each
+// because its AVX2 lane clears 2x over the scalar loop at the size the
+// product runs it (bench_simd_fastlane, interleaved timing):
+//
+//   * DotPairwise — the 64-wide embedding dot behind every score;
+//   * MatchLength — the LZ77 match extender of the SWZ tokenizer;
+//   * RenderPixelRow — a row of RenderField: carrier, counter-hash
+//     texture, gains, clamp and the RGB interleave.  The texture's two
+//     64-bit multiplies per pixel dominate the scalar row;
+//   * AddLuminanceSpans — a row of ReadCellField, the §7 image digest:
+//     integer BT.601 luminance summed per cell.
+//
+// Loops that do not clear 2x stay plain C++ in their callers
+// (docs/performance.md §SIMD).  The repository's core invariant holds
+// here too: *every* modeled byte and score is identical on every
 // machine, at every thread count, and in every lane.
 //
 // Two lanes exist:
@@ -35,11 +44,24 @@
 //      `genai::Dot` adopts this as its definition, so embedding scores
 //      are identical in both lanes — and the AVX2 lane is simply fast,
 //      not "fast but approximately equal".
+//   3. RenderPixelRow performs the scalar pixel's operations one for
+//      one: separate multiplies and adds in the formula's left-to-right
+//      order (the build passes -ffp-contract=off, so no FMA fuses them);
+//      each 64-bit product of the counter hash is built from three
+//      32x32->64 multiplies; the 53-bit `h >> 11` converts to double
+//      exactly through two 2^52 magic-number conversions; the clamp is
+//      max, then min, then a truncating convert; a scalar tail covers
+//      width % 8.
+//   4. AddLuminanceSpans is integer arithmetic: the AVX2 lane's
+//      floor(n / 1000) is a multiply-high that equals the division for
+//      every weighted sum a pixel can produce.
 //
 // Dispatch: ActiveLane() resolves once from CPUID, overridable with
 // SWW_SIMD=scalar|avx2 (clamped to what the host supports).  Every
 // kernel also takes an explicit Lane overload so differential tests and
-// benches can pin lanes without touching process state.
+// benches can pin lanes without touching process state; the row kernels
+// take only that overload, and their callers read ActiveLane() once per
+// image.
 #pragma once
 
 #include <cstddef>
@@ -86,5 +108,41 @@ std::size_t MatchLength(const std::uint8_t* a, const std::uint8_t* b,
                         std::size_t limit, Lane lane);
 std::size_t MatchLength(const std::uint8_t* a, const std::uint8_t* b,
                         std::size_t limit);
+
+/// The inputs of one pixel row of genai's RenderField.  For column x the
+/// row's luminance is
+///
+///   offset + (top_left[x]·sy + top_right[x]·sy + bottom_left[x]·ty
+///             + bottom_right[x]·ty)
+///          + CounterRange(texture_seed, x, y, texture_lo, texture_hi)
+///
+/// evaluated left to right, and channel c is that luminance times
+/// gain[c], clamped to [0, 255] and truncated to a byte.
+struct PixelRow {
+  const double* top_left = nullptr;
+  const double* top_right = nullptr;
+  const double* bottom_left = nullptr;
+  const double* bottom_right = nullptr;
+  double sy = 0.0;  ///< 1 - ty
+  double ty = 0.0;
+  double offset = 0.0;
+  std::uint64_t texture_seed = 0;
+  std::uint64_t y = 0;  ///< the texture's row counter
+  double texture_lo = 0.0;
+  double texture_hi = 0.0;
+  double gain[3] = {1.0, 1.0, 1.0};  ///< r, g, b
+};
+
+/// Write `width` RGB8 pixels of `row` to out[0..3·width).  Byte-identical
+/// across lanes; the AVX2 lane renders 8 pixels per step.
+void RenderPixelRow(const PixelRow& row, std::size_t width, std::uint8_t* out,
+                    Lane lane);
+
+/// For each span k < spans, add to sums[k] the integer BT.601 luminance
+/// (299·r + 587·g + 114·b) / 1000 of the RGB8 pixels [bounds[k],
+/// bounds[k + 1]) of `rgb` (bounds ascending, spans + 1 entries).  Exact
+/// in every lane; the AVX2 lane reads 8 pixels per step.
+void AddLuminanceSpans(const std::uint8_t* rgb, const int* bounds,
+                       std::size_t spans, std::uint64_t* sums, Lane lane);
 
 }  // namespace sww::util::simd

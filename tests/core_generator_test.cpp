@@ -1,7 +1,10 @@
 // Tests for the media generator (§4.1's two-subroutine object).
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "core/media_generator.hpp"
+#include "core/verification.hpp"
 #include "energy/device.hpp"
 #include "html/parser.hpp"
 
@@ -53,6 +56,47 @@ TEST(MediaGenerator, GeneratesImageWithCostAccounting) {
   EXPECT_GT(media.value().metadata_bytes, 0u);
   EXPECT_EQ(generator.items_generated(), 1u);
   EXPECT_NEAR(generator.total_seconds(), media.value().seconds, 1e-9);
+}
+
+TEST(MediaGenerator, SharedEmbeddingVerificationMatchesVerifyGeneratedContent) {
+  // BuildImage embeds the prompt once for the render and the §7 digests.
+  // Its verification must equal the public two-prompt entry point, for a
+  // plain item (authored == received) and for a personalized one (the
+  // received prompt carries injected interests and its own digest), with
+  // the authored digest and with a foreign one.
+  const std::string authored =
+      "a quiet mountain valley at dawn with pine forest, a winding river "
+      "and morning mist, photograph";
+  for (const bool personalize : {false, true}) {
+    MediaGenerator::Options options;
+    if (personalize) {
+      options.profile.interests = {"cycling", "birdwatching", "coffee"};
+      options.profile.consented = true;
+    }
+    MediaGenerator generator =
+        MediaGenerator::Create(energy::Laptop(), options).value();
+    for (const SemanticDigest digest :
+         {DigestOfPrompt(authored), DigestOfPrompt("a red sports car in the city")}) {
+      auto spec = ImageSpec(64, 48);
+      spec.metadata.Set("prompt", authored);
+      spec.metadata.Set("digest", DigestToHex(digest));
+      auto media = generator.Generate(spec);
+      ASSERT_TRUE(media.ok());
+      EXPECT_EQ(media.value().prompt != authored, personalize);
+      ASSERT_TRUE(media.value().has_verification);
+      const util::Bytes& ppm = media.value().file_bytes;
+      auto image = genai::Image::FromPpm(
+          std::string_view(reinterpret_cast<const char*>(ppm.data()), ppm.size()));
+      ASSERT_TRUE(image.ok());
+      const ContentVerification expected = VerifyGeneratedContent(
+          authored, media.value().prompt, digest, image.value());
+      const ContentVerification& got = media.value().verification;
+      EXPECT_EQ(got.prompt_integrity, expected.prompt_integrity);
+      EXPECT_EQ(got.semantically_faithful, expected.semantically_faithful);
+      EXPECT_EQ(got.distance, expected.distance);
+      EXPECT_EQ(got.prompt_integrity, digest == DigestOfPrompt(authored));
+    }
+  }
 }
 
 TEST(MediaGenerator, GeneratesTextFromBullets) {

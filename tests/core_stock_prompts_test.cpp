@@ -112,6 +112,36 @@ TEST(ModelNegotiation, WeakClientFallsBackToMaterializedDelivery) {
   EXPECT_GT(session.value()->server().stats().generation_seconds, 0.0);
 }
 
+TEST(ModelNegotiation, FallbackMaterializesTheForcedBodyAndCachesNothing) {
+  // The client parses the generative body once for the model check; the
+  // page it materializes after the fallback must be the forced
+  // (traditional) body, and the demanding prompt page must not enter the
+  // prompt cache, so a revisit falls back again.
+  ContentStore store;
+  ASSERT_TRUE(store.AddPage("/demanding", DemandingPage(0.35)).ok());
+  LocalSession::Options options;
+  options.client.enable_prompt_cache = true;
+  auto session = LocalSession::Start(&store, options);
+  ASSERT_TRUE(session.ok());
+  for (std::uint64_t visit = 1; visit <= 2; ++visit) {
+    auto fetch = session.value()->FetchPage("/demanding");
+    ASSERT_TRUE(fetch.ok());
+    EXPECT_TRUE(fetch.value().model_fallback);
+    EXPECT_FALSE(fetch.value().from_cache);
+    EXPECT_EQ(fetch.value().mode, "traditional");
+    EXPECT_EQ(fetch.value().generated_items, 0u);
+    EXPECT_EQ(fetch.value().final_html.find(html::kGeneratedContentClass),
+              std::string::npos);
+    ASSERT_EQ(fetch.value().files.size(), 1u);
+    const std::string& asset = fetch.value().files.begin()->first;
+    EXPECT_EQ(asset.front(), '/');
+    EXPECT_NE(fetch.value().final_html.find(asset), std::string::npos);
+    EXPECT_EQ(session.value()->client().prompt_cache().entry_count(), 0u);
+    // Per visit: the generative page, the forced page and its one asset.
+    EXPECT_EQ(session.value()->server().stats().requests, 3 * visit);
+  }
+}
+
 TEST(ModelNegotiation, SatisfiableRequirementStaysGenerative) {
   ContentStore store;
   ASSERT_TRUE(store.AddPage("/easy", DemandingPage(0.2)).ok());

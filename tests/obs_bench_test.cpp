@@ -104,6 +104,36 @@ TEST(TimeKernel, MaxIterationsCapsAZeroCostKernel) {
   EXPECT_DOUBLE_EQ(stats.total_ns, 0.0);
 }
 
+TEST(TimeKernels, InterleavesRoundsUntilEveryKernelHasItsTime) {
+  // Kernel a costs 1 ms and b 0.25 ms; every round (the warmup one too)
+  // runs a then b, and measuring stops when b, the cheaper one, has
+  // 2 ms of samples: 8 rounds.
+  ManualClock clock;
+  std::string order;
+  TimingOptions options;
+  options.warmup_iterations = 1;
+  options.min_iterations = 2;
+  options.max_iterations = 1000;
+  options.min_total_seconds = 0.002;
+  const std::vector<WallStats> stats = TimeKernels(
+      {[&] {
+         order += 'a';
+         clock.AdvanceNanos(1000000);
+       },
+       [&] {
+         order += 'b';
+         clock.AdvanceNanos(250000);
+       }},
+      options, &clock);
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(order, "ababababababababab");  // 1 warmup + 8 measured rounds
+  EXPECT_EQ(stats[0].iterations, 8u);
+  EXPECT_EQ(stats[1].iterations, 8u);
+  EXPECT_DOUBLE_EQ(stats[0].median_ns, 1e6);
+  EXPECT_DOUBLE_EQ(stats[1].median_ns, 2.5e5);
+  EXPECT_TRUE(TimeKernels({}, options, &clock).empty());
+}
+
 // --- CanonicalizeModeled ----------------------------------------------------
 
 TEST(CanonicalizeModeled, RoundsToNineSignificantDigits) {
