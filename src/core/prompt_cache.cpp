@@ -1,22 +1,9 @@
 #include "core/prompt_cache.hpp"
 
-#include <algorithm>
-#include <mutex>
-
-#include "util/hash.hpp"
-
 namespace sww::core {
 
-PromptCache::PromptCache(std::size_t capacity_bytes, std::size_t stripes)
+PromptCache::PromptCache(std::size_t capacity_bytes)
     : capacity_(capacity_bytes) {
-  const std::size_t count = std::clamp<std::size_t>(
-      stripes, 1, util::StripedMutex<>::stripe_count());
-  stripes_.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    // Leftover bytes go to stripe 0 so the shares sum to the capacity.
-    stripes_[i].capacity = capacity_bytes / count +
-                           (i == 0 ? capacity_bytes % count : 0);
-  }
   obs::Registry& registry = obs::Registry::Default();
   instruments_.hits = &registry.GetCounter("client.prompt_cache.hits");
   instruments_.misses = &registry.GetCounter("client.prompt_cache.misses");
@@ -28,108 +15,77 @@ PromptCache::PromptCache(std::size_t capacity_bytes, std::size_t stripes)
       &registry.GetGauge("client.prompt_cache.hit_ratio");
 }
 
-void PromptCache::RefreshHitRatio() {
-  const std::uint64_t hits = hits_.load(std::memory_order_relaxed);
-  const std::uint64_t total = hits + misses_.load(std::memory_order_relaxed);
-  instruments_.hit_ratio->Set(
-      total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total));
-}
-
-std::size_t PromptCache::StripeOf(const std::string& path) const {
-  return util::Fnv1a64(path) % stripes_.size();
-}
-
 std::optional<std::string> PromptCache::Get(const std::string& path) {
-  const std::size_t s = StripeOf(path);
-  std::lock_guard<std::mutex> lock(locks_.Get(s));
-  Stripe& stripe = stripes_[s];
-  auto it = stripe.index.find(path);
-  if (it == stripe.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = index_.find(path);
+  if (it == index_.end()) {
+    ++stats_.misses;
     instruments_.misses->Add();
-    RefreshHitRatio();
+    instruments_.hit_ratio->Set(stats_.HitRate());
     return std::nullopt;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.hits;
   instruments_.hits->Add();
-  RefreshHitRatio();
-  stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second);
+  instruments_.hit_ratio->Set(stats_.HitRate());
+  lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->body;
 }
 
 void PromptCache::Put(const std::string& path, std::string body) {
-  const std::size_t s = StripeOf(path);
-  std::lock_guard<std::mutex> lock(locks_.Get(s));
-  Stripe& stripe = stripes_[s];
-  if (body.size() > stripe.capacity) return;
-  InvalidateLocked(stripe, path);
-  stripe.stored_bytes += body.size();
-  stripe.lru.push_front(Entry{path, std::move(body)});
-  stripe.index[path] = stripe.lru.begin();
-  insertions_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (body.size() > capacity_) return;
+  InvalidateLocked(path);
+  stored_bytes_ += body.size();
+  lru_.push_front(Entry{path, std::move(body)});
+  index_[path] = lru_.begin();
+  ++stats_.insertions;
   instruments_.insertions->Add();
-  EvictToFitLocked(stripe);
+  EvictToFitLocked();
 }
 
 void PromptCache::Invalidate(const std::string& path) {
-  const std::size_t s = StripeOf(path);
-  std::lock_guard<std::mutex> lock(locks_.Get(s));
-  InvalidateLocked(stripes_[s], path);
+  std::lock_guard<std::mutex> lock(mutex_);
+  InvalidateLocked(path);
 }
 
-void PromptCache::InvalidateLocked(Stripe& stripe, const std::string& path) {
-  auto it = stripe.index.find(path);
-  if (it == stripe.index.end()) return;
-  stripe.stored_bytes -= it->second->body.size();
-  stripe.lru.erase(it->second);
-  stripe.index.erase(it);
+void PromptCache::InvalidateLocked(const std::string& path) {
+  auto it = index_.find(path);
+  if (it == index_.end()) return;
+  stored_bytes_ -= it->second->body.size();
+  lru_.erase(it->second);
+  index_.erase(it);
 }
 
 void PromptCache::Clear() {
-  locks_.WithAllLocked([this] {
-    for (Stripe& stripe : stripes_) {
-      stripe.lru.clear();
-      stripe.index.clear();
-      stripe.stored_bytes = 0;
-    }
-  });
+  std::lock_guard<std::mutex> lock(mutex_);
+  lru_.clear();
+  index_.clear();
+  stored_bytes_ = 0;
 }
 
-void PromptCache::EvictToFitLocked(Stripe& stripe) {
-  while (stripe.stored_bytes > stripe.capacity && !stripe.lru.empty()) {
-    stripe.stored_bytes -= stripe.lru.back().body.size();
-    stripe.index.erase(stripe.lru.back().path);
-    stripe.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+void PromptCache::EvictToFitLocked() {
+  while (stored_bytes_ > capacity_ && !lru_.empty()) {
+    stored_bytes_ -= lru_.back().body.size();
+    index_.erase(lru_.back().path);
+    lru_.pop_back();
+    ++stats_.evictions;
     instruments_.evictions->Add();
   }
 }
 
 std::size_t PromptCache::stored_bytes() const {
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < stripes_.size(); ++s) {
-    std::lock_guard<std::mutex> lock(locks_.Get(s));
-    total += stripes_[s].stored_bytes;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stored_bytes_;
 }
 
 std::size_t PromptCache::entry_count() const {
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < stripes_.size(); ++s) {
-    std::lock_guard<std::mutex> lock(locks_.Get(s));
-    total += stripes_[s].index.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return index_.size();
 }
 
 PromptCache::Stats PromptCache::stats() const {
-  Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.insertions = insertions_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  return stats;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
 }
 
 }  // namespace sww::core

@@ -7,39 +7,28 @@
 // revisit regenerates everything locally, touching the network not at
 // all.  This is an LRU byte-budgeted cache of generative-mode page bodies.
 //
-// Concurrency: the cache is safe to hit from every pool worker at once.
-// The byte budget is divided over `stripes` independent shards, each with
-// its own LRU list guarded by one stripe of a util::StripedMutex — two
-// lookups only contend when their paths hash to the same stripe.  LRU
-// order (and therefore eviction) is per-stripe; construct with stripes=1
-// for a single globally-ordered LRU.  Hit/miss/eviction stats accumulate
-// in relaxed atomics and merge on read.
+// Concurrency: one byte-budgeted LRU under one mutex, so eviction always
+// drops the globally coldest entry (cdn::EdgeNode keeps the same shape).
+// A client touches its cache only from its fetch thread, so the lock is
+// uncontended.  The hit/miss/eviction stats live under the same lock.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
-#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "obs/registry.hpp"
-#include "util/striped_lock.hpp"
 
 namespace sww::core {
 
 class PromptCache {
  public:
-  /// Stripe count used when none is given; bounded by the stripe count of
-  /// the underlying StripedMutex.
-  static constexpr std::size_t kDefaultStripes = 8;
+  explicit PromptCache(std::size_t capacity_bytes = 512 * 1024);
 
-  explicit PromptCache(std::size_t capacity_bytes = 512 * 1024,
-                       std::size_t stripes = kDefaultStripes);
-
-  /// Merged per-instance view; the same events are mirrored into the
+  /// Per-instance view; the same events are mirrored into the
   /// process-wide obs::Registry under client.prompt_cache.* so Snapshot()
   /// aggregates every cache in the process.
   struct Stats {
@@ -57,8 +46,8 @@ class PromptCache {
   /// Look up a cached page body; counts a hit or miss.
   std::optional<std::string> Get(const std::string& path);
 
-  /// Insert/replace a page body.  Entries larger than their stripe's
-  /// share of the capacity are not cached.
+  /// Insert/replace a page body.  Entries larger than the capacity are
+  /// not cached.
   void Put(const std::string& path, std::string body);
 
   /// Drop one entry (e.g. after a failed verification) or everything.
@@ -68,7 +57,6 @@ class PromptCache {
   std::size_t stored_bytes() const;
   std::size_t entry_count() const;
   std::size_t capacity() const { return capacity_; }
-  std::size_t stripe_count() const { return stripes_.size(); }
   Stats stats() const;
 
  private:
@@ -77,29 +65,16 @@ class PromptCache {
     std::string body;
   };
 
-  /// One shard: an independent LRU over its slice of the byte budget.
-  struct Stripe {
-    std::size_t capacity = 0;
-    std::size_t stored_bytes = 0;
-    std::list<Entry> lru;  // front = most recent
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-  };
+  /// Caller holds mutex_.
+  void InvalidateLocked(const std::string& path);
+  void EvictToFitLocked();
 
-  std::size_t StripeOf(const std::string& path) const;
-  /// Caller holds the stripe's lock.
-  void InvalidateLocked(Stripe& stripe, const std::string& path);
-  void EvictToFitLocked(Stripe& stripe);
-  /// Recompute the client.prompt_cache.hit_ratio gauge from the counters.
-  void RefreshHitRatio();
-
-  std::size_t capacity_;
-  std::vector<Stripe> stripes_;
-  mutable util::StripedMutex<> locks_;
-
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> insertions_{0};
-  std::atomic<std::uint64_t> evictions_{0};
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;  // guards everything below but instruments_
+  std::size_t stored_bytes_ = 0;
+  std::list<Entry> lru_;  // front = most recent
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  Stats stats_;
 
   // Process-wide mirrors of the Stats events.
   struct Instruments {

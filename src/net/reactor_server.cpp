@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/registry.hpp"
+#include "util/strings.hpp"
 
 namespace sww::net {
 
@@ -94,6 +95,11 @@ Result<std::unique_ptr<ReactorServer>> ReactorServer::Start(
     return Error(ErrorCode::kInvalidArgument, "reactor server needs a factory");
   }
   int shard_count = options.shards;
+  if (shard_count > kMaxShards) {
+    return Error(ErrorCode::kInvalidArgument,
+                 util::Format("reactor server: %d shards is over the cap of %d",
+                              shard_count, kMaxShards));
+  }
   if (shard_count <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     shard_count = static_cast<int>(hw == 0 ? 1 : (hw > 8 ? 8 : hw));
@@ -119,14 +125,9 @@ Result<std::unique_ptr<ReactorServer>> ReactorServer::Start(
   }
   server->port_ = port;
 
-  util::ThreadPool* pool = server->options_.pool;
-  if (pool == nullptr) {
-    server->owned_pool_ = std::make_unique<util::ThreadPool>(shard_count);
-    pool = server->owned_pool_.get();
-  }
   for (auto& shard : server->shards_) {
     Shard* raw = shard.get();
-    server->shard_futures_.push_back(pool->Submit([raw] { RunShard(*raw); }));
+    server->shard_threads_.emplace_back([raw] { RunShard(*raw); });
   }
   return server;
 }
@@ -419,11 +420,8 @@ void ReactorServer::Shutdown() {
     Shard* raw = shard.get();
     raw->reactor.Post([raw] { BeginShutdown(*raw); });
   }
-  for (auto& future : shard_futures_) {
-    if (future.valid()) future.get();
-  }
-  shard_futures_.clear();
-  owned_pool_.reset();
+  for (std::thread& thread : shard_threads_) thread.join();
+  shard_threads_.clear();
 }
 
 }  // namespace sww::net

@@ -1,7 +1,7 @@
 // reactor_server.hpp — the C10K event-loop server.
 //
-// N accept shards, each a full vertical slice pinned to one ThreadPool
-// worker: its own SO_REUSEPORT listener on the shared port (the kernel
+// N accept shards, each a full vertical slice on a thread the server
+// owns: its own SO_REUSEPORT listener on the shared port (the kernel
 // load-balances incoming connections across shards), its own epoll
 // Reactor with timer wheel, and its own connection table.  A connection
 // lives its whole life on the shard that accepted it — no cross-core
@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "http2/connection.hpp"
@@ -36,7 +37,6 @@
 #include "net/tcp.hpp"
 #include "net/write_queue.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sww::net {
 
@@ -61,11 +61,14 @@ using ReactorAppFactory = std::function<std::unique_ptr<ReactorApp>()>;
 
 class ReactorServer {
  public:
+  /// The most shards Start accepts; each is one thread and one epoll set.
+  static constexpr int kMaxShards = 64;
+
   struct Options {
     /// Port to listen on (0 picks a free port; all shards share it).
     std::uint16_t port = 0;
-    /// Accept shards (reactors).  <= 0 sizes to hardware_concurrency,
-    /// capped at 8.
+    /// Accept shards (reactors), one thread each.  <= 0 sizes to
+    /// hardware_concurrency, capped at 8; above kMaxShards, Start fails.
     int shards = 0;
     /// Close connections with no inbound traffic for this long.  0
     /// disables.  Lazy: one wheel timer per connection, re-armed against
@@ -82,11 +85,6 @@ class ReactorServer {
     /// Observer invoked on the shard thread just before a connection's
     /// app is destroyed (any cause: peer close, timeout, error, drain).
     std::function<void(ReactorApp&)> on_close;
-    /// Shard loops run on this pool; nullptr makes the server own a
-    /// dedicated ThreadPool sized to `shards` (the Shared() pool may be
-    /// smaller than the shard count and its workers must stay free for
-    /// generation work).
-    util::ThreadPool* pool = nullptr;
   };
 
   struct ShardStats {
@@ -95,14 +93,16 @@ class ReactorServer {
     std::uint64_t active = 0;
   };
 
-  /// Bind all shards and start their event loops.  The server is live
-  /// (kernel accepting) when this returns.
+  /// Bind all shards and start their event loops, one thread per shard.
+  /// The server is live (kernel accepting) when this returns.  A shard
+  /// count above kMaxShards is kInvalidArgument, before anything binds.
   static util::Result<std::unique_ptr<ReactorServer>> Start(
       ReactorAppFactory factory, Options options);
 
   /// Graceful stop: every shard sends GOAWAY on its connections, waits up
-  /// to goaway_drain_ms, force-closes stragglers, and its loop exits.
-  /// Idempotent; the destructor calls it.
+  /// to goaway_drain_ms, force-closes stragglers, and its loop exits;
+  /// then the shard threads are joined.  Idempotent; the destructor calls
+  /// it.
   void Shutdown();
 
   ~ReactorServer();
@@ -135,8 +135,7 @@ class ReactorServer {
   Options options_;
   std::uint16_t port_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<util::ThreadPool> owned_pool_;
-  std::vector<std::future<void>> shard_futures_;
+  std::vector<std::thread> shard_threads_;
   std::atomic<bool> shutdown_called_{false};
 };
 

@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -106,6 +107,17 @@ std::string ReplaceAll(std::string_view text, std::string_view from,
     out.append(to);
     start = pos + from.size();
   }
+}
+
+std::optional<int> ParseIntInRange(std::string_view text, int min, int max) {
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value < min ||
+      value > max) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::size_t CountWords(std::string_view text) {

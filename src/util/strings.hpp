@@ -2,6 +2,7 @@
 // and metric tokenization.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,6 +43,11 @@ std::size_t CountWords(std::string_view text);
 /// Lowercased alphanumeric tokens (punctuation stripped) — the tokenizer used
 /// by the CLIP/SBERT metric simulators and prompt feature extraction.
 std::vector<std::string> Tokenize(std::string_view text);
+
+/// The whole of `text` as a decimal int in [min, max]; nullopt when it is
+/// empty, holds anything but digits after an optional leading '-', or lies
+/// outside the range.  The command-line tools parse counts with it.
+std::optional<int> ParseIntInRange(std::string_view text, int min, int max);
 
 /// printf-style formatting into a std::string.
 std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

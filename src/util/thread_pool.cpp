@@ -1,109 +1,50 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <atomic>
+#include <exception>
+#include <memory>
 
 namespace sww::util {
 
 ThreadPool::ThreadPool(int threads) {
-  const std::size_t count = static_cast<std::size_t>(std::max(threads, 1));
-  queues_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  workers_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  const int count = std::max(threads, 1);
+  workers_.reserve(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    // The lock pairs with the wait predicate: a worker is either before its
-    // predicate check (and will see stopping_) or fully asleep (and gets
-    // the notify) — never in between.
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    stopping_.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
   }
   wake_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
+  for (std::thread& worker : workers_) worker.join();
 }
 
 ThreadPool& ThreadPool::Shared() {
-  // Never destroyed: tasks posted from static teardown must not race a
+  // Never destroyed: a ParallelFor from static teardown must not race a
   // dying pool (same pattern as obs::Registry::Default).
   static ThreadPool* pool = new ThreadPool(
       static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
   return *pool;
 }
 
-void ThreadPool::Post(std::function<void()> task) {
-  if (stopping_.load(std::memory_order_acquire)) {
-    throw std::runtime_error("ThreadPool::Post after shutdown began");
-  }
-  const std::size_t index =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  {
-    std::lock_guard<std::mutex> lock(queues_[index]->mutex);
-    queues_[index]->tasks.push_back(std::move(task));
-  }
-  {
-    // Publish under wake_mutex_ so a worker mid-predicate cannot miss it
-    // (lost-wakeup guard; see ~ThreadPool).
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    pending_.fetch_add(1, std::memory_order_release);
-  }
-  wake_cv_.notify_one();
-}
-
-std::function<void()> ThreadPool::TakeTask(std::size_t self) {
-  // Own queue first (front: submission order for this deque)...
-  {
-    std::lock_guard<std::mutex> lock(queues_[self]->mutex);
-    if (!queues_[self]->tasks.empty()) {
-      std::function<void()> task = std::move(queues_[self]->tasks.front());
-      queues_[self]->tasks.pop_front();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  // ...then steal from the back of a sibling's deque.
-  for (std::size_t offset = 1; offset < queues_.size(); ++offset) {
-    const std::size_t victim = (self + offset) % queues_.size();
-    std::lock_guard<std::mutex> lock(queues_[victim]->mutex);
-    if (!queues_[victim]->tasks.empty()) {
-      std::function<void()> task = std::move(queues_[victim]->tasks.back());
-      queues_[victim]->tasks.pop_back();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  return {};
-}
-
-void ThreadPool::WorkerLoop(std::size_t index) {
+void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::function<void()> task = TakeTask(index);
-    if (task) {
-      // Counted before it runs: a Submit future becomes ready inside
-      // task(), and whoever waited on it must already see the count.
-      tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+    wake_cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+    // Stopping with an empty queue: every queued helper has run.
+    if (tasks_.empty()) return;
+    {
+      std::function<void()> task = std::move(tasks_.front());
+      tasks_.pop_front();
+      lock.unlock();
       task();
-      continue;
     }
-    std::unique_lock<std::mutex> lock(wake_mutex_);
-    wake_cv_.wait(lock, [this] {
-      return pending_.load(std::memory_order_acquire) > 0 ||
-             stopping_.load(std::memory_order_acquire);
-    });
-    // Graceful shutdown: keep draining until every queued task ran.
-    if (stopping_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
+    lock.lock();
   }
 }
 
@@ -113,26 +54,27 @@ void ThreadPool::ParallelFor(
   if (n <= 0) return;
   if (grain <= 0) {
     // ~4 chunks per worker amortizes scheduling while leaving room for
-    // stealing to balance uneven chunk costs.
+    // the shared cursor to balance uneven chunk costs.
     grain = std::max<std::int64_t>(1, n / (4 * worker_count()));
   }
   const std::int64_t chunks = (n + grain - 1) / grain;
   if (chunks == 1 || worker_count() == 1) {
     body(0, n);
-    parallel_for_chunks_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
 
+  // Shared with the queued helpers: a surplus helper that starts after
+  // this call returned still reads the cursor (and then stops at once).
   struct LoopState {
     std::atomic<std::int64_t> next_chunk{0};
     std::atomic<std::int64_t> done_chunks{0};
-    std::mutex mutex;  // guards exception + done_cv
+    std::mutex mutex;  // guards first_exception + done_cv
     std::condition_variable done_cv;
     std::exception_ptr first_exception;
   };
   auto state = std::make_shared<LoopState>();
 
-  auto run_chunks = [state, n, grain, chunks, &body, this]() {
+  auto run_chunks = [state, n, grain, chunks, &body]() {
     for (;;) {
       const std::int64_t chunk =
           state->next_chunk.fetch_add(1, std::memory_order_relaxed);
@@ -147,7 +89,6 @@ void ThreadPool::ParallelFor(
           state->first_exception = std::current_exception();
         }
       }
-      parallel_for_chunks_.fetch_add(1, std::memory_order_relaxed);
       if (state->done_chunks.fetch_add(1, std::memory_order_acq_rel) + 1 ==
           chunks) {
         std::lock_guard<std::mutex> lock(state->mutex);
@@ -160,9 +101,11 @@ void ThreadPool::ParallelFor(
   // and guarantees progress even when every worker is busy elsewhere.
   const std::int64_t helpers =
       std::min<std::int64_t>(chunks - 1, worker_count());
-  for (std::int64_t h = 0; h < helpers; ++h) {
-    Post(run_chunks);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::int64_t h = 0; h < helpers; ++h) tasks_.emplace_back(run_chunks);
   }
+  for (std::int64_t h = 0; h < helpers; ++h) wake_cv_.notify_one();
   run_chunks();
 
   std::unique_lock<std::mutex> lock(state->mutex);
@@ -170,15 +113,6 @@ void ThreadPool::ParallelFor(
     return state->done_chunks.load(std::memory_order_acquire) == chunks;
   });
   if (state->first_exception) std::rethrow_exception(state->first_exception);
-}
-
-ThreadPool::Stats ThreadPool::stats() const {
-  Stats stats;
-  stats.tasks_executed = tasks_executed_.load(std::memory_order_relaxed);
-  stats.steals = steals_.load(std::memory_order_relaxed);
-  stats.parallel_for_chunks =
-      parallel_for_chunks_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 }  // namespace sww::util

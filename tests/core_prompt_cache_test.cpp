@@ -32,8 +32,8 @@ TEST(PromptCache, PutReplacesExisting) {
 }
 
 TEST(PromptCache, LruEvictionUnderPressure) {
-  // One stripe: global LRU order, so eviction picks the true coldest entry.
-  PromptCache cache(20, /*stripes=*/1);
+  // One global LRU: eviction picks the coldest entry of the whole cache.
+  PromptCache cache(20);
   cache.Put("/a", "0123456789");  // 10 B
   cache.Put("/b", "0123456789");  // 10 B — full
   (void)cache.Get("/a");          // /a now most recent
@@ -43,6 +43,19 @@ TEST(PromptCache, LruEvictionUnderPressure) {
   EXPECT_TRUE(cache.Get("/c").has_value());
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_LE(cache.stored_bytes(), 20u);
+}
+
+TEST(PromptCache, DefaultCacheHoldsABodyOfAFifthOfItsBudget) {
+  // The whole byte budget is one LRU: a 100 kB page body fits the default
+  // 512 kB cache and stays next to the smaller ones.
+  PromptCache cache;
+  cache.Put("/small", "prompt");
+  cache.Put("/big", std::string(100 * 1000, 'p'));
+  EXPECT_EQ(cache.entry_count(), 2u);
+  EXPECT_EQ(cache.stored_bytes(), 100 * 1000 + 6u);
+  ASSERT_TRUE(cache.Get("/big").has_value());
+  EXPECT_EQ(cache.Get("/big")->size(), 100u * 1000);
+  EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(PromptCache, OversizedEntryNotCached) {

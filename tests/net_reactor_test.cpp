@@ -14,6 +14,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -684,6 +686,60 @@ TEST(ReactorServer, HoldsManyIdleConnections) {
             static_cast<std::uint64_t>(kConnections));
   held.clear();
   host.value()->Shutdown();
+}
+
+/// The `Threads:` line of /proc/self/status.
+int ProcessThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+int OpenFdCount() {
+  int count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+ReactorAppFactory RefuseEveryConnection() {
+  return [] { return std::unique_ptr<ReactorApp>(); };
+}
+
+TEST(ReactorServer, OverCapShardCountFailsAndStartsNothing) {
+  const int threads_before = ProcessThreadCount();
+  const int fds_before = OpenFdCount();
+  ReactorServer::Options options;
+  options.shards = ReactorServer::kMaxShards + 1;
+  auto server = ReactorServer::Start(RefuseEveryConnection(), options);
+  ASSERT_FALSE(server.ok());
+  EXPECT_EQ(server.error().code, util::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(ProcessThreadCount(), threads_before);
+  EXPECT_EQ(OpenFdCount(), fds_before) << "no listener or epoll set stays open";
+}
+
+TEST(ReactorServer, RepeatedStartAndShutdownLeavesNoThreads) {
+  auto start_and_shut_down = [] {
+    ReactorServer::Options options;
+    options.shards = 2;
+    auto server = ReactorServer::Start(RefuseEveryConnection(), options);
+    ASSERT_TRUE(server.ok()) << server.error().ToString();
+    EXPECT_EQ(server.value()->shard_count(), 2);
+    server.value()->Shutdown();
+  };
+  // One cycle first: a sanitizer runtime starts a helper thread of its own
+  // when the process makes its first thread.
+  start_and_shut_down();
+  const int threads_before = ProcessThreadCount();
+  ASSERT_GT(threads_before, 0);
+  for (int i = 0; i < 20; ++i) start_and_shut_down();
+  EXPECT_EQ(ProcessThreadCount(), threads_before);
 }
 
 }  // namespace

@@ -5,8 +5,6 @@
 
 #include "core/page_builder.hpp"
 #include "core/session.hpp"
-#include "genai/interpolator.hpp"
-#include "metrics/clip.hpp"
 #include "net/pump.hpp"
 #include "net/reliable_link.hpp"
 #include "oracles/http2.hpp"
@@ -200,51 +198,3 @@ TEST(ReliableLink, NegotiationSurvivesLossyNetwork) {
 
 }  // namespace
 }  // namespace sww::net
-
-// --- frame interpolation (genai) ------------------------------------------------
-
-namespace sww::genai {
-namespace {
-
-Image Frame(std::string_view prompt, std::uint64_t seed) {
-  DiffusionModel model(FindImageModel(kDalle3).value());
-  return model.Generate(prompt, 96, 96, 15, seed).value().image;
-}
-
-TEST(Interpolator, EndpointsAreExact) {
-  const Image a = Frame("a mountain lake at dawn", 1);
-  const Image b = Frame("a mountain lake at dusk", 2);
-  EXPECT_EQ(InterpolateFrames(a, b, 0.0).value().data(), a.data());
-  EXPECT_EQ(InterpolateFrames(a, b, 1.0).value().data(), b.data());
-}
-
-TEST(Interpolator, MidFrameIsSemanticallyBetween) {
-  const std::string prompt = "a mountain lake with forest";
-  const Image a = Frame(prompt, 1);
-  const Image b = Frame(prompt, 2);
-  const Image mid = InterpolateFrames(a, b, 0.5).value();
-  // Same scene, different seeds: the interpolated frame keeps the scene.
-  const double score_mid = metrics::ClipScore(prompt, mid);
-  EXPECT_GT(score_mid, 0.2);
-}
-
-TEST(Interpolator, RejectsMismatchedInputs) {
-  Image small(8, 8), big(16, 16);
-  EXPECT_FALSE(InterpolateFrames(small, big, 0.5).ok());
-  EXPECT_FALSE(InterpolateFrames(small, small, 1.5).ok());
-  EXPECT_FALSE(InterpolateFrames(Image(), Image(), 0.5).ok());
-}
-
-TEST(Interpolator, BoostDoublesFrameCount) {
-  std::vector<Image> frames;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    frames.push_back(Frame("a harbor town", i));
-  }
-  auto boosted = BoostFrameRate(frames);
-  ASSERT_TRUE(boosted.ok());
-  EXPECT_EQ(boosted.value().size(), 9u);  // 2n-1
-  EXPECT_FALSE(BoostFrameRate({frames[0]}).ok());
-}
-
-}  // namespace
-}  // namespace sww::genai

@@ -239,6 +239,20 @@ TEST(Strings, TokenizeStripsPunctuationAndFoldsCase) {
             (std::vector<std::string>{"a", "cartoon", "goldfish", "swimming"}));
 }
 
+TEST(Strings, ParseIntInRangeTakesOnlyAWholeNumberInRange) {
+  EXPECT_EQ(ParseIntInRange("0", 0, 64), 0);
+  EXPECT_EQ(ParseIntInRange("64", 0, 64), 64);
+  EXPECT_EQ(ParseIntInRange("-3", -5, 5), -3);
+  EXPECT_FALSE(ParseIntInRange("65", 0, 64).has_value());
+  EXPECT_FALSE(ParseIntInRange("-1", 0, 64).has_value());
+  EXPECT_FALSE(ParseIntInRange("", 0, 64).has_value());
+  EXPECT_FALSE(ParseIntInRange("abc", 0, 64).has_value());
+  EXPECT_FALSE(ParseIntInRange("4x", 0, 64).has_value());
+  EXPECT_FALSE(ParseIntInRange(" 4", 0, 64).has_value());
+  EXPECT_FALSE(ParseIntInRange("+4", 0, 64).has_value());
+  EXPECT_FALSE(ParseIntInRange("99999999999999999999", 0, 64).has_value());
+}
+
 TEST(Strings, Format) {
   EXPECT_EQ(Format("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(Format("%.2f", 1.239), "1.24");

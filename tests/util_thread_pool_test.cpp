@@ -1,17 +1,15 @@
-// Tests for the work-stealing thread pool: result/ordering contracts of
-// Submit, exception propagation, ParallelFor coverage (including nested
-// calls from inside pool tasks), and graceful shutdown with queued work.
+// Tests for the thread pool behind ParallelFor: coverage of every index
+// (also with several callers at once and nested calls from inside a
+// chunk), exception propagation, and shutdown with helpers still queued.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <latch>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "util/striped_lock.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sww::util {
@@ -24,30 +22,6 @@ TEST(ThreadPool, WorkerCountClampedToAtLeastOne) {
   EXPECT_EQ(negative.worker_count(), 1);
   ThreadPool four(4);
   EXPECT_EQ(four.worker_count(), 4);
-}
-
-TEST(ThreadPool, SubmitResultsArriveInSubmissionOrder) {
-  // Futures pair each result with its submission slot: waiting on them in
-  // order yields the deterministic merge the generation pipeline relies
-  // on, no matter which worker ran which task.
-  ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-  }
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionsThroughTheFuture) {
-  ThreadPool pool(2);
-  auto ok = pool.Submit([] { return 7; });
-  auto bad = pool.Submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_EQ(ok.get(), 7);
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The pool survives a throwing task.
-  EXPECT_EQ(pool.Submit([] { return 1; }).get(), 1);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
@@ -134,35 +108,87 @@ TEST(ThreadPool, NestedParallelForFromPoolTasksDoesNotDeadlock) {
   EXPECT_EQ(total.load(), 8 * 100);
 }
 
+TEST(ThreadPool, ConcurrentCallersEachSeeTheirOwnIndicesOnce) {
+  // Three external threads share one pool and its one queue; each loop's
+  // helpers must claim only that loop's chunks.
+  ThreadPool pool(4);
+  constexpr int kCallers = 3;
+  constexpr std::int64_t kN = 3000;
+  std::vector<std::vector<std::atomic<int>>> touched;
+  for (int c = 0; c < kCallers; ++c) touched.emplace_back(kN);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &touched, c] {
+      for (int round = 0; round < 10; ++round) {
+        pool.ParallelFor(
+            kN,
+            [&touched, c](std::int64_t begin, std::int64_t end) {
+              for (std::int64_t i = begin; i < end; ++i) {
+                touched[static_cast<std::size_t>(c)]
+                       [static_cast<std::size_t>(i)]
+                           .fetch_add(1, std::memory_order_relaxed);
+              }
+            },
+            /*grain=*/7);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (int c = 0; c < kCallers; ++c) {
+    for (std::int64_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(touched[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)]
+                    .load(),
+                10)
+          << "caller " << c << " index " << i;
+    }
+  }
+}
+
 TEST(ThreadPool, DestructorDrainsPendingWork) {
-  std::atomic<int> executed{0};
+  // Both workers block inside another caller's loop, so the next
+  // ParallelFor runs every chunk on its caller and returns with its two
+  // surplus helpers still queued.  The pool is destroyed right then: the
+  // workers come free, drain those helpers (which find no chunk left) and
+  // exit.  The other caller, once its own helpers are queued, touches only
+  // its loop's shared state, so it may finish while the pool goes away.
+  std::latch gate(1);
+  std::atomic<int> blocked{0};
+  std::atomic<int> blocked_chunks_done{0};
+  std::vector<std::atomic<int>> touched(8);
+  std::thread other_caller;
+  std::thread releaser;
   {
     ThreadPool pool(2);
-    for (int i = 0; i < 200; ++i) {
-      pool.Submit([&executed] {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        executed.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    // Destructor runs here with most of the queue still pending.
+    other_caller = std::thread([&] {
+      pool.ParallelFor(
+          3,
+          [&](std::int64_t, std::int64_t) {
+            blocked.fetch_add(1);
+            gate.wait();
+            blocked_chunks_done.fetch_add(1);
+          },
+          /*grain=*/1);
+    });
+    while (blocked.load() < 3) std::this_thread::yield();
+    pool.ParallelFor(
+        8,
+        [&](std::int64_t begin, std::int64_t end) {
+          for (std::int64_t i = begin; i < end; ++i) {
+            touched[static_cast<std::size_t>(i)].fetch_add(1);
+          }
+        },
+        /*grain=*/1);
+    releaser = std::thread([&gate] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      gate.count_down();
+    });
+    // Destructor runs here with both helpers still queued.
   }
-  EXPECT_EQ(executed.load(), 200) << "graceful shutdown must drain the queue";
-}
-
-TEST(ThreadPool, StatsCountExecutedTasksAndChunks) {
-  ThreadPool pool(4);
-  for (int i = 0; i < 32; ++i) pool.Submit([] {}).wait();
-  pool.ParallelFor(1000, [](std::int64_t, std::int64_t) {}, /*grain=*/10);
-  const ThreadPool::Stats stats = pool.stats();
-  EXPECT_GE(stats.tasks_executed, 32u);
-  EXPECT_GE(stats.parallel_for_chunks, 100u);
-}
-
-TEST(ThreadPool, StatsCountEachSubmittedTaskBeforeItsFutureIsReady) {
-  ThreadPool pool(4);
-  for (std::uint64_t i = 1; i <= 1000; ++i) {
-    pool.Submit([] {}).wait();
-    ASSERT_EQ(pool.stats().tasks_executed, i) << "after wait " << i;
+  releaser.join();
+  other_caller.join();
+  EXPECT_EQ(blocked_chunks_done.load(), 3);
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    EXPECT_EQ(touched[i].load(), 1) << "index " << i;
   }
 }
 
@@ -171,34 +197,6 @@ TEST(ThreadPool, SharedPoolIsProcessWideSingleton) {
   ThreadPool& b = ThreadPool::Shared();
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.worker_count(), 1);
-}
-
-TEST(StripedMutex, StripesPartitionAndLockIndependently) {
-  StripedMutex<> locks;
-  EXPECT_EQ(StripedMutex<>::stripe_count(), 16u);
-  // Same hash → same stripe; stripes cover [0, N).
-  for (std::uint64_t h : {0ull, 1ull, 12345ull, ~0ull}) {
-    EXPECT_EQ(locks.StripeOf(h), locks.StripeOf(h));
-    EXPECT_LT(locks.StripeOf(h), StripedMutex<>::stripe_count());
-  }
-  // Holding one stripe does not block another.
-  std::lock_guard<std::mutex> hold(locks.Get(0));
-  EXPECT_TRUE(locks.Get(1).try_lock());
-  locks.Get(1).unlock();
-}
-
-TEST(StripedMutex, WithAllLockedRunsExclusively) {
-  StripedMutex<4> locks;
-  bool ran = false;
-  locks.WithAllLocked([&] {
-    ran = true;
-    // All stripes are held: try_lock on any must fail.
-    EXPECT_FALSE(locks.Get(2).try_lock());
-  });
-  EXPECT_TRUE(ran);
-  // And they are released afterwards.
-  EXPECT_TRUE(locks.Get(2).try_lock());
-  locks.Get(2).unlock();
 }
 
 }  // namespace

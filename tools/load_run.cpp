@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string_view>
 
 #include "core/session.hpp"
@@ -21,6 +22,7 @@
 #include "obs/journal.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sww::tools {
@@ -215,7 +217,14 @@ int RunLoadMain(int argc, char** argv) {
     } else if (arg == "--threads") {
       const char* value = next_value("--threads");
       if (value == nullptr) return 2;
-      options.threads = std::atoi(value);
+      const std::optional<int> threads =
+          util::ParseIntInRange(value, 0, LoadOptions::kMaxThreads);
+      if (!threads) {
+        std::fprintf(stderr, "sww_load: --threads takes 0..%d, not '%s'\n",
+                     LoadOptions::kMaxThreads, value);
+        return 2;
+      }
+      options.threads = *threads;
     } else if (arg == "--live-port") {
       const char* value = next_value("--live-port");
       if (value == nullptr) return 2;

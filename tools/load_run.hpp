@@ -27,10 +27,13 @@
 namespace sww::tools {
 
 struct LoadOptions {
+  /// The most pool threads --threads accepts.
+  static constexpr int kMaxThreads = 64;
+
   std::vector<std::string> scenario_names;  ///< builtin names to run
   std::string spec_file;                    ///< JSON spec file (optional)
   std::string out_dir;                      ///< empty: no artifacts
-  int threads = 0;                          ///< 0: shared pool
+  int threads = 0;                          ///< 0: shared pool; <= kMaxThreads
   // Live mode (--live-port): instead of the virtual-clock engine, dial a
   // running reactor server over real sockets — hold `hold` idle TCP
   // connections, then push `burst` page fetches through one persistent

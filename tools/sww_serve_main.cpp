@@ -12,10 +12,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <string_view>
 
 #include "core/page_builder.hpp"
 #include "core/reactor_host.hpp"
+#include "net/reactor_server.hpp"
+#include "util/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace sww;
@@ -44,7 +47,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--shards") {
       const char* value = next("--shards");
       if (value == nullptr) return 2;
-      shards = std::atoi(value);
+      const std::optional<int> parsed =
+          util::ParseIntInRange(value, 0, net::ReactorServer::kMaxShards);
+      if (!parsed) {
+        std::fprintf(stderr, "--shards takes 0..%d, not '%s'\n",
+                     net::ReactorServer::kMaxShards, value);
+        return 2;
+      }
+      shards = *parsed;
     } else if (arg == "--idle-timeout-ms") {
       const char* value = next("--idle-timeout-ms");
       if (value == nullptr) return 2;
@@ -55,8 +65,9 @@ int main(int argc, char** argv) {
           "usage: %s [--port N] [--max-connections N] [--shards N]\n"
           "          [--idle-timeout-ms N]\n"
           "  --port 0 picks a free port (printed on stdout)\n"
-          "  --shards N runs N SO_REUSEPORT accept shards (default 1)\n",
-          argv[0]);
+          "  --shards N runs N SO_REUSEPORT accept shards (default 1;\n"
+          "             0 sizes to the hardware, at most %d)\n",
+          argv[0], net::ReactorServer::kMaxShards);
       return arg == "--help" || arg == "-h" ? 0 : 2;
     }
   }
